@@ -189,50 +189,74 @@ def cmd_check_equality(args) -> int:
 
 
 def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: float):
-    """Yield CSV rows over the uniform |v1|, |v2| lattice (v1 outer, v2 inner).
+    """CSV rows over the uniform |v1|, |v2| lattice (v1 outer, v2 inner).
 
     The inequality sides use the factor pair P1 = t1*I and unit-diagonal
     P2 (or the t1-scaled literal form); the concurrence and minimum
     partial-transpose eigenvalue are those of the trace-normalized
-    product, which is the same state for every t1.
+    product, which is the same state for every t1. One NumPy pass
+    evaluates the lattice with the closed forms of `xstate` and `criteria`.
     """
-    e1 = complex(math.cos(phase1), math.sin(phase1))
-    e2 = complex(math.cos(phase2), math.sin(phase2))
-    d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
-    if literal:
-        d1 = d1 * t1 ** 4  # the t1-scaled second factor contributes t1^4 to its det
+    try:
+        d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
+        if literal:
+            d1 = d1 * t1 ** 4  # the t1-scaled second factor contributes t1^4 to its det
+        # The largest left side on the lattice is at v1 = v2 = 0, where det(P2^G) = 1.
+        top = criteria.theorem2_lhs(d1)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise InvalidParams(f"t1 = {t1!r} overflows the left side 81 D^3 + 512 D")
     rhs = criteria.THEOREM2_RHS
-    rhs_s = fmt(rhs)
-    step = 1.0 / (grid - 1)
-    for i in range(grid):
-        v1a = i * step
-        v1 = v1a * e1
-        for j in range(grid):
-            v2a = j * step
-            v2 = v2a * e2
-            # det of the unit-diagonal X factor after partial transposition
-            d2 = (1.0 - v1a * v1a) * (1.0 - v2a * v2a)
-            prod = d1 * d2
-            lhs = 81.0 * prod ** 3 + 512.0 * prod
-            state = xstate.XMatrix(0.25, 0.25, 0.25, 0.25, c14=v1 / 4.0, c23=v2 / 4.0)
-            conc = xstate.concurrence(state)
-            pt_state = xstate.XMatrix(0.25, 0.25, 0.25, 0.25, c14=v2 / 4.0, c23=v1 / 4.0)
-            min_pt = float(xstate.x_eigenvalues(pt_state)[-1])
-            yield (
-                f"{fmt(v1a)},{fmt(v2a)},{fmt(lhs)},{rhs_s},"
-                f"{_bool_str(lhs <= rhs)},{fmt(conc)},{fmt(min_pt)}"
-            )
+
+    # The CSV bytes are those of the scalar formulas, cell by cell. Three
+    # NumPy traps break that: `np.abs` of a complex array rounds unlike
+    # `abs()` on a third of inputs (`np.hypot` agrees); through it the min-PT
+    # column at |v| = 1 reads 2.8e-17, not 0; and `np.power(x, 3)` differs
+    # from `x ** 3` on 5 % of floats, so the left side stays on Python floats.
+    v_abs = np.arange(grid) * (1.0 / (grid - 1))
+    # Moduli of the corners v/4 of the normalized product, v1 down the
+    # rows and v2 along the columns: |v e^{i phase} / 4|.
+    m1 = np.hypot(v_abs * math.cos(phase1) / 4.0, v_abs * math.sin(phase1) / 4.0)[:, None]
+    m2 = np.hypot(v_abs * math.cos(phase2) / 4.0, v_abs * math.sin(phase2) / 4.0)[None, :]
+    xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m1, m2)
+    conc = xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m1, m2)
+    # Partial transposition swaps the two corner amplitudes of an X state.
+    min_pt = xstate.x_min_eigenvalue(0.25, 0.25, 0.25, 0.25, m2, m1)
+    # det of the unit-diagonal X factor after partial transposition
+    d2 = xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v_abs[None, :], v_abs[:, None])
+    prod = d1 * d2
+
+    # The lattice is symmetric in |v1|, |v2|, and the last two columns take
+    # at most 2*grid values: evaluate and render each distinct value once.
+    rhs_text = fmt(rhs)
+    inequality = {}
+    for p in set(prod.ravel().tolist()):
+        lhs = criteria.theorem2_lhs(p)
+        inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
+    rendered = {x: fmt(x) for x in {*conc.ravel().tolist(), *min_pt.ravel().tolist()}}
+    v_text = [fmt(v) for v in v_abs.tolist()]
+    rows = []
+    for i, a in enumerate(v_text):
+        rows += [
+            f"{a},{b},{inequality[p]},{rendered[c]},{rendered[m]}"
+            for b, p, c, m in zip(v_text, prod[i].tolist(), conc[i].tolist(), min_pt[i].tolist())
+        ]
+    return rows
 
 
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise InvalidParams(f"grid must be >= 2, got {args.grid}")
+    for name in ("t1", "phase1", "phase2"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value!r}")
     if args.t1 < 0:
         raise InvalidParams(f"t1 must be nonnegative, got {args.t1}")
     rows = _sweep_rows(args.t1, args.grid, args.scaled_p2, args.phase1, args.phase2)
-    text = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig\n"
-    text += "\n".join(rows) + "\n"
-    _write_text(args.out, text)
+    header = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig"
+    _write_text(args.out, "\n".join([header, *rows, ""]))
     return EXIT_OK
 
 

@@ -124,6 +124,15 @@ def det_inequality_sides(p1: np.ndarray, p2: np.ndarray, dims) -> tuple[float, f
     return d1, d2
 
 
+def theorem2_lhs(prod: float) -> float:
+    """Left side 81 D^3 + 512 D of the two-qubit inequality, D = D1 D2.
+
+    Takes a Python float: NumPy's elementwise power rounds differently
+    from `**` on floats, so array callers apply this per element.
+    """
+    return 81.0 * prod ** 3 + 512.0 * prod
+
+
 def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> InequalityCheck:
     """Two-qubit separability inequality on a factor pair.
 
@@ -148,7 +157,7 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
         )
     d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    lhs = 81.0 * (d1 ** 3) * (d2 ** 3) + 512.0 * d1 * d2
+    lhs = theorem2_lhs(d1 * d2)
     return InequalityCheck(lhs, THEOREM2_RHS, lhs <= THEOREM2_RHS)
 
 
@@ -262,7 +271,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     prod = linalg.mul(p1, p2)
     min_pt = linalg.min_eigenvalue(partial_transpose(prod, TWO_QUBITS), tol)
     d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    lhs = 81.0 * (d1 ** 3) * (d2 ** 3) + 512.0 * d1 * d2
+    lhs = theorem2_lhs(d1 * d2)
     conc = None
     if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= 1e-9:
         conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol))

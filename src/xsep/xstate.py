@@ -112,16 +112,7 @@ class XMatrix:
             c = complex(getattr(self, name))
             _check_finite(c, name)
             object.__setattr__(self, name, c)
-        if self.d11 * self.d44 < abs(self.c14) ** 2 - _PSD_SLACK:
-            raise InvalidParams(
-                "outer block not PSD: d11*d44 < |c14|^2 "
-                f"({self.d11 * self.d44} < {abs(self.c14) ** 2})"
-            )
-        if self.d22 * self.d33 < abs(self.c23) ** 2 - _PSD_SLACK:
-            raise InvalidParams(
-                "inner block not PSD: d22*d33 < |c23|^2 "
-                f"({self.d22 * self.d33} < {abs(self.c23) ** 2})"
-            )
+        check_x_blocks(self.d11, self.d22, self.d33, self.d44, abs(self.c14), abs(self.c23))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -198,36 +189,89 @@ def product_state(params: XParams) -> XMatrix:
     )
 
 
+# Closed forms on the entries of an X matrix: four diagonal floats and the
+# corner moduli |c14|, |c23|. The moduli may be NumPy arrays, and the result
+# is then broadcast over them (the sweep evaluates a whole lattice in one
+# call); on Python floats the forms stay off NumPy's per-call overhead.
+
+
+def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
+    """Raise InvalidParams unless both 2x2 blocks are PSD up to a small slack.
+
+    The blocks are PSD iff d11*d44 >= |c14|^2 and d22*d33 >= |c23|^2; on
+    arrays every element must pass, and the first that fails is reported.
+    """
+    _check_block("outer block not PSD: d11*d44 < |c14|^2", d11 * d44, abs_c14 * abs_c14)
+    _check_block("inner block not PSD: d22*d33 < |c23|^2", d22 * d33, abs_c23 * abs_c23)
+
+
+def _check_block(label: str, dd, sq) -> None:
+    bad = dd < sq - _PSD_SLACK
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        dd, sq = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (dd, sq))
+    elif not bad:
+        return
+    raise InvalidParams(f"{label} ({dd} < {sq})")
+
+
+def _block_eigenvalues(a, b, abs_c):
+    """Eigenvalues (mean + rad, mean - rad) of the block [[a, c], [conj(c), b]].
+
+    rad = sqrt(half-gap^2 + |c|^2) needs only the modulus of the corner.
+    """
+    mean = 0.5 * (a + b)
+    half = 0.5 * (a - b)
+    sq = half * half + abs_c * abs_c
+    rad = np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+    return mean + rad, mean - rad
+
+
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
     """The four eigenvalues of an X matrix in closed form, sorted descending.
 
     Each 2x2 block contributes mean +- sqrt(half-gap^2 + |corner|^2).
     """
-    mean_out = 0.5 * (x.d11 + x.d44)
-    half_out = 0.5 * (x.d11 - x.d44)
-    rad_out = math.sqrt(half_out * half_out + abs(x.c14) ** 2)
-    mean_in = 0.5 * (x.d22 + x.d33)
-    half_in = 0.5 * (x.d22 - x.d33)
-    rad_in = math.sqrt(half_in * half_in + abs(x.c23) ** 2)
-    w = np.array([mean_out + rad_out, mean_out - rad_out,
-                  mean_in + rad_in, mean_in - rad_in])
-    return np.sort(w)[::-1].copy()
+    w = _block_eigenvalues(x.d11, x.d44, abs(x.c14))
+    w += _block_eigenvalues(x.d22, x.d33, abs(x.c23))
+    return np.array(sorted(w, reverse=True))
+
+
+def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23):
+    """Smallest eigenvalue of an X matrix: the lower of its blocks' lower eigenvalues."""
+    outer = _block_eigenvalues(d11, d44, abs_c14)[1]
+    inner = _block_eigenvalues(d22, d33, abs_c23)[1]
+    if isinstance(outer, np.ndarray) or isinstance(inner, np.ndarray):
+        return np.minimum(outer, inner)
+    return min(outer, inner)
+
+
+def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23):
+    """Determinant of an X matrix: (d11*d44 - |c14|^2) (d22*d33 - |c23|^2)."""
+    return (d11 * d44 - abs_c14 * abs_c14) * (d22 * d33 - abs_c23 * abs_c23)
+
+
+def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
+    """C = 2 max{0, |c23| - sqrt(d11*d44), |c14| - sqrt(d22*d33)} of a normalized X state."""
+    inner = abs_c23 - math.sqrt(max(d11 * d44, 0.0))
+    outer = abs_c14 - math.sqrt(max(d22 * d33, 0.0))
+    if isinstance(inner, np.ndarray) or isinstance(outer, np.ndarray):
+        return 2.0 * np.maximum(np.maximum(0.0, inner), outer)
+    return 2.0 * max(0.0, inner, outer)
 
 
 def concurrence(x: XMatrix, trace_tol: float = 1e-9) -> float:
-    """Concurrence of a normalized X state.
+    """Concurrence of a normalized X state, by `x_concurrence`.
 
-    C = 2 max{0, |c23| - sqrt(d11*d44), |c14| - sqrt(d22*d33)}; zero
-    exactly for separable states. Raises unless the trace is 1 within
-    `trace_tol`.
+    Zero exactly for separable states. Raises unless the trace is 1
+    within `trace_tol`.
     """
     if abs(x.trace - 1.0) > trace_tol:
         raise InvalidParams(
             f"concurrence needs a normalized state, trace is {x.trace!r}"
         )
-    inner = abs(x.c23) - math.sqrt(max(x.d11 * x.d44, 0.0))
-    outer = abs(x.c14) - math.sqrt(max(x.d22 * x.d33, 0.0))
-    return 2.0 * max(0.0, inner, outer)
+    return x_concurrence(x.d11, x.d22, x.d33, x.d44, abs(x.c14), abs(x.c23))
 
 
 def family_concurrence(params: XParams) -> float:

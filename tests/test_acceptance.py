@@ -5,6 +5,7 @@ line per criterion.
 """
 
 import functools
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import xsep
 from xsep import criteria, linalg, xstate
 from xsep.bipartite import partial_transpose
 from xsep.xstate import XParams
@@ -125,6 +127,13 @@ def test_criterion_05_counterexample_replay():
     assert abs(abs(criteria.CX_F1) ** 2 - 23.0 / 468.0) <= 1e-15
 
 
+def _env_importing_xsep() -> dict:
+    """The environment with the xsep under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(xsep.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+
+
 @criterion(6, "sweep --t1 0.25 --grid 101: 10201 satisfied rows, zero concurrence, in < 2 s")
 def test_criterion_06_sweep_reproduction(tmp_path):
     out = tmp_path / "sweep.csv"
@@ -134,6 +143,7 @@ def test_criterion_06_sweep_reproduction(tmp_path):
          "--grid", "101", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_env_importing_xsep(),
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr

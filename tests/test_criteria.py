@@ -171,6 +171,19 @@ class TestTheorem2:
         with pytest.raises(DimensionMismatch):
             criteria.theorem2_check(np.eye(9, dtype=complex), np.eye(9, dtype=complex))
 
+    def test_left_side(self):
+        assert criteria.theorem2_lhs(0.0) == 0.0
+        assert criteria.theorem2_lhs(1.0) == 593.0
+        assert criteria.theorem2_lhs(0.5) == 81.0 / 8.0 + 256.0
+
+    def test_check_and_report_share_the_left_side(self, rng):
+        for _ in range(20):
+            pair = family_pair(0.25, 0.25, random_unit_disc(rng), random_unit_disc(rng))
+            d1, d2 = criteria.det_inequality_sides(pair.p1, pair.p2, DIMS22)
+            lhs = criteria.theorem2_lhs(d1 * d2)
+            assert criteria.theorem2_check(pair.p1, pair.p2).lhs == lhs
+            assert criteria.factor_report(pair.p1, pair.p2).theorem2_lhs == lhs
+
     def test_quarter_family_closed_form(self, rng):
         # D1 = 4^-4 and D2 = (1-|v1|^2)(1-|v2|^2) on the equality family
         for _ in range(200):
