@@ -8,6 +8,7 @@ selftest. Exit codes: 0 success, 2 parse failure, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,12 +45,22 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return _bool_str(value)
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
+def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
+    """Print the payload as JSON, or as text: `lines`, else one `key: value` per entry."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in lines:
-            print(line)
+        if lines is None:
+            lines = [f"{key}: {_text(value)}" for key, value in payload.items()]
+        print("\n".join(lines))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -61,10 +72,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _resolve_dims(args, file_dims, dim: int) -> BipartiteDims:
-    m = getattr(args, "m", None)
-    n = getattr(args, "n", None)
-    if m is not None and n is not None:
-        dims = BipartiteDims(m, n)
+    if args.m is not None and args.n is not None:
+        dims = BipartiteDims(args.m, args.n)
     elif file_dims is not None:
         dims = file_dims
     elif dim == 4:
@@ -97,48 +106,19 @@ def cmd_analyze(args) -> int:
     matrix, file_dims = matfile.load(args.input)
     matrix = linalg.as_matrix(matrix, name="input matrix")
     dims = _resolve_dims(args, file_dims, matrix.shape[0])
-    tol = args.tol
-
-    defect, (i, j) = linalg.hermiticity_defect(matrix)
-    if defect > tol:
-        raise NotDensityMatrix(
-            f"hermiticity check failed: entries ({i},{j})/({j},{i}) differ by {defect:.3e}",
-            check="hermiticity",
-        )
-    tr = linalg.trace(matrix)
-    if abs(tr - 1.0) > tol:
-        raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
-    lowest = linalg.min_eigenvalue(matrix, tol)
-    if lowest < -tol:
-        raise NotDensityMatrix(
-            f"positivity check failed: smallest eigenvalue {lowest:.3e}",
-            check="positivity",
-        )
-
-    min_pt = linalg.min_eigenvalue(partial_transpose(matrix, dims), tol)
-    ppt = min_pt >= -tol
-    x_shaped = matrix.shape[0] == 4 and xstate.is_x_shaped(matrix, tol)
+    density = criteria.validate_density(matrix, dims, args.tol)
+    x_shaped = matrix.shape[0] == 4 and xstate.is_x_shaped(matrix, args.tol)
     payload = {
         "hermitian": True,
-        "trace": tr.real,
-        "min_eigenvalue": lowest,
-        "min_pt_eig": min_pt,
-        "ppt": ppt,
+        "trace": density.trace,
+        "min_eigenvalue": density.min_eigenvalue,
+        "min_pt_eig": density.min_pt_eigenvalue,
+        "ppt": density.ppt,
         "x_shaped": x_shaped,
     }
-    lines = [
-        "hermitian: true",
-        f"trace: {fmt(tr.real)}",
-        f"min_eigenvalue: {fmt(lowest)}",
-        f"min_pt_eig: {fmt(min_pt)}",
-        f"ppt: {_bool_str(ppt)}",
-        f"x_shaped: {_bool_str(x_shaped)}",
-    ]
     if x_shaped:
-        conc = xstate.concurrence(xstate.XMatrix.from_matrix(matrix, tol))
-        payload["concurrence"] = conc
-        lines.append(f"concurrence: {fmt(conc)}")
-    _emit(args, payload, lines)
+        payload["concurrence"] = xstate.concurrence(xstate.XMatrix.from_matrix(matrix, args.tol))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -261,32 +241,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    tol = args.tol
-    rho = criteria.counterexample_state()
-    tr = linalg.trace(rho).real
-    lowest = linalg.min_eigenvalue(rho, tol)
-    psd = lowest >= -tol
-    ppt = criteria.ppt_verdict(rho, criteria.TWO_QUBITS, tol)
-    gap_norm = linalg.frobenius_norm(criteria.counterexample_gap())
+    density = criteria.validate_density(
+        criteria.counterexample_state(), criteria.TWO_QUBITS, args.tol
+    )
     payload = {
-        "trace": tr,
-        "min_eigenvalue": lowest,
-        "psd": psd,
-        "ppt": ppt,
-        "separable": ppt,
-        "gap_frobenius": gap_norm,
+        "trace": density.trace,
+        "min_eigenvalue": density.min_eigenvalue,
+        "psd": True,
+        "ppt": density.ppt,
+        "separable": density.ppt,
+        "gap_frobenius": linalg.frobenius_norm(criteria.counterexample_gap()),
         "verdict": "converse fails",
     }
-    lines = [
-        f"trace: {fmt(tr)}",
-        f"min_eigenvalue: {fmt(lowest)}",
-        f"psd: {_bool_str(psd)}",
-        f"ppt: {_bool_str(ppt)}",
-        f"separable: {_bool_str(ppt)}",
-        f"gap_frobenius: {fmt(gap_norm)}",
-        "verdict: converse fails",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -350,13 +317,8 @@ def _check_equality_family() -> tuple[bool, str]:
     gap = criteria.pt_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)
     if linalg.frobenius_norm(gap) > 1e-14:
         return False, "gap does not vanish for equal diagonal weights"
-    delta = np.zeros((4, 4), dtype=complex)
     t1 = params.t1
-    delta[0, 0] = delta[1, 1] = delta[2, 2] = delta[3, 3] = t1
-    delta[0, 3] = t1 * params.v2
-    delta[3, 0] = t1 * np.conj(params.v2)
-    delta[1, 2] = t1 * params.v1
-    delta[2, 1] = t1 * np.conj(params.v1)
+    delta = xstate.XMatrix(t1, t1, t1, t1, c14=t1 * params.v2, c23=t1 * params.v1).matrix()
     lhs = partial_transpose(linalg.mul(pair.p1, pair.p2), criteria.TWO_QUBITS)
     rhs = linalg.mul(
         partial_transpose(pair.p1, criteria.TWO_QUBITS),
@@ -372,8 +334,8 @@ def _check_equality_family() -> tuple[bool, str]:
 def _check_min_pt_closed_form() -> tuple[bool, str]:
     params = xstate.XParams.symmetric(0.35, 0.15, 0.7j, 0.4)
     pair = xstate.build_factors(params)
-    pt_prod = partial_transpose(linalg.mul(pair.p1, pair.p2), criteria.TWO_QUBITS)
-    got = linalg.min_eigenvalue(pt_prod)
+    rho = linalg.mul(pair.p1, pair.p2)
+    got = criteria.validate_density(rho, criteria.TWO_QUBITS).min_pt_eigenvalue
     t1, t2 = params.t1, params.t2
     expected = min(
         t1 + t2 * abs(params.v2), t1 - t2 * abs(params.v2),
@@ -426,8 +388,8 @@ def _check_bell_state() -> tuple[bool, str]:
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     conc = xstate.concurrence(xstate.XMatrix.from_matrix(bell))
-    min_pt = linalg.min_eigenvalue(partial_transpose(bell, criteria.TWO_QUBITS))
-    ppt = criteria.ppt_verdict(bell, criteria.TWO_QUBITS)
+    density = criteria.validate_density(bell, criteria.TWO_QUBITS)
+    min_pt, ppt = density.min_pt_eigenvalue, density.ppt
     ok = abs(conc - 1.0) < 1e-14 and abs(min_pt + 0.5) < 1e-12 and not ppt
     return ok, f"concurrence {conc}, min PT eigenvalue {min_pt}, ppt {ppt}"
 
@@ -477,15 +439,33 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser, out: bool = True) -> None:
+def _add_input(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("input", help="matrix file (JSON)")
+    sub.add_argument("--m", type=int, default=None, help="first subsystem dimension")
+    sub.add_argument("--n", type=int, default=None, help="second subsystem dimension")
+
+
+def _add_factor_params(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--t1", type=float, required=True)
+    sub.add_argument("--t2", type=float, required=True)
+    sub.add_argument("--v1", type=_complex_arg, default=0j,
+                     help="corner amplitude, e.g. 0.5 or 0.3+0.2j")
+    sub.add_argument("--v2", type=_complex_arg, default=0j)
+
+
+def _add_tol_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=1e-10,
                      help="tolerance for Hermiticity/PSD decisions (default 1e-10)")
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    if out:
-        sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _add_out(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="xsep",
         description="Partial transposition of matrix products and X-state separability.",
@@ -493,37 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("pt", help="partially transpose a matrix file")
-    p.add_argument("input", help="matrix file (JSON)")
-    p.add_argument("--m", type=int, default=None, help="first subsystem dimension")
-    p.add_argument("--n", type=int, default=None, help="second subsystem dimension")
-    _add_common(p)
+    _add_input(p)
+    _add_out(p)
     p.set_defaults(func=cmd_pt)
 
     p = subs.add_parser("analyze", help="density-matrix checks, PPT verdict, concurrence")
-    p.add_argument("input", help="matrix file (JSON)")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p, out=False)
+    _add_input(p)
+    _add_tol_json(p)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("construct", help="build the X-shaped product state from parameters")
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--v1", type=_complex_arg, default=0j,
-                   help="corner amplitude, e.g. 0.5 or 0.3+0.2j")
-    p.add_argument("--v2", type=_complex_arg, default=0j)
+    _add_factor_params(p)
     p.add_argument("--with-factors", action="store_true",
                    help="also write the two factors next to --out")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("check-equality",
                         help="gap norm, gap spectrum and equality verdict for a factor pair")
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--v1", type=_complex_arg, default=0j)
-    p.add_argument("--v2", type=_complex_arg, default=0j)
-    _add_common(p, out=False)
+    _add_factor_params(p)
+    _add_tol_json(p)
     p.set_defaults(func=cmd_check_equality)
 
     p = subs.add_parser("sweep",
@@ -536,25 +505,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase1", type=float, default=0.0,
                    help="phase (radians) attached to v1 in the constructed matrices")
     p.add_argument("--phase2", type=float, default=0.0)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("counterexample",
                         help="replay the separable state that breaks the equality converse")
-    _add_common(p, out=False)
+    _add_tol_json(p)
     p.set_defaults(func=cmd_counterexample)
 
     p = subs.add_parser("selftest", help="run the embedded golden checks")
-    _add_common(p, out=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:

@@ -191,12 +191,22 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
     return InequalityCheck(lhs, rhs, lhs <= rhs)
 
 
-def ppt_verdict(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the partial transpose of a density matrix has no negative spectrum.
+class DensityReport(NamedTuple):
+    """Spectral summary of a state that passed `validate_density`."""
 
-    For 2x2 and 2x3 systems this decides separability exactly; in larger
-    dimensions it only reports the PPT property. The input must be a
-    valid density matrix (Hermitian, PSD, unit trace) within tol.
+    trace: float
+    min_eigenvalue: float
+    min_pt_eigenvalue: float
+    ppt: bool
+
+
+def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> DensityReport:
+    """Check that rho is a density matrix, then take the PPT verdict.
+
+    Hermiticity, unit trace and positivity are checked in that order, each
+    within tol; the first that fails raises NotDensityMatrix naming it.
+    For 2x2 and 2x3 systems PPT decides separability exactly; in larger
+    dimensions it only reports the PPT property.
     """
     dims = BipartiteDims.of(dims)
     rho = np.asarray(rho, dtype=complex)
@@ -215,18 +225,20 @@ def ppt_verdict(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> bool:
             f"positivity check failed: smallest eigenvalue {lowest:.3e}",
             check="positivity",
         )
-    return linalg.min_eigenvalue(partial_transpose(rho, dims), tol) >= -tol
+    min_pt = linalg.min_eigenvalue(partial_transpose(rho, dims), tol)
+    return DensityReport(tr.real, lowest, min_pt, min_pt >= -tol)
+
+
+def ppt_verdict(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the density matrix rho is PPT; checks and raises as `validate_density`."""
+    return validate_density(rho, dims, tol).ppt
 
 
 def counterexample_state() -> np.ndarray:
     """A separable two-qubit X state with both block discriminants exactly zero."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = CX_A1, CX_B1, CX_D1, CX_E1
-    m[0, 3] = np.conj(CX_F1)
-    m[3, 0] = CX_F1
-    m[1, 2] = np.conj(CX_C1)
-    m[2, 1] = CX_C1
-    return m
+    return xstate.XMatrix(
+        CX_A1, CX_B1, CX_D1, CX_E1, c14=CX_F1.conjugate(), c23=CX_C1.conjugate()
+    ).matrix()
 
 
 def counterexample_pt_product() -> np.ndarray:
@@ -235,13 +247,9 @@ def counterexample_pt_product() -> np.ndarray:
     This is the matrix the equality would force the partial transpose of
     `counterexample_state` to be; the two differ, which is the point.
     """
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = CX_A1, CX_B1, CX_E1, CX_D1
-    m[0, 3] = np.conj(CX_F2)
-    m[3, 0] = CX_F2
-    m[1, 2] = np.conj(CX_C2)
-    m[2, 1] = CX_C2
-    return m
+    return xstate.XMatrix(
+        CX_A1, CX_B1, CX_E1, CX_D1, c14=CX_F2.conjugate(), c23=CX_C2.conjugate()
+    ).matrix()
 
 
 def counterexample_gap() -> np.ndarray:

@@ -50,16 +50,6 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T.copy()
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Plain transpose, no conjugation."""
-    return np.asarray(a, dtype=complex).T.copy()
-
-
 def trace(a: np.ndarray) -> complex:
     """Sum of diagonal entries."""
     return complex(np.asarray(a).trace())

@@ -195,9 +195,7 @@ def test_criterion_09_transpose_identity():
     for _ in range(1000):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        full = linalg.transpose(linalg.mul(a, b)) - linalg.mul(
-            linalg.transpose(b), linalg.transpose(a)
-        )
+        full = linalg.mul(a, b).T - linalg.mul(b.T, a.T)
         assert linalg.frobenius_norm(full) <= 1e-12
         partial_gap = linalg.frobenius_norm(criteria.pt_gap(a, b, DIMS22))
         if partial_gap > 0.01:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from xsep import criteria, matfile
-from xsep.cli import main
+from xsep.cli import build_parser, main
 
 from conftest import random_complex
 
@@ -284,3 +284,37 @@ def test_console_script():
 
 def test_unknown_command_exits_nonzero(capsys):
     assert main(["no-such-command"]) != 0
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_with_different_subcommands(self, capsys):
+        assert main(["counterexample"]) == 0
+        assert "verdict: converse fails" in capsys.readouterr().out
+        assert main(["check-equality", "--t1", "0.25", "--t2", "0.25", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["equality_holds"] is True
+        assert main(["counterexample", "--tol", "0"]) == 4
+        assert "positivity check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pt", "m.json"],
+        ["construct", "--t1", "0.25", "--t2", "0.25"],
+        ["sweep"],
+        ["selftest"],
+    ])
+    @pytest.mark.parametrize("option", [["--tol", "0.1"], ["--json"]])
+    def test_tol_and_json_only_where_read(self, argv, option, capsys):
+        assert main(argv + option) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "m.json"],
+        ["check-equality", "--t1", "0.25", "--t2", "0.25"],
+        ["counterexample"],
+        ["selftest"],
+    ])
+    def test_out_only_where_written(self, argv, capsys):
+        assert main(argv + ["--out", "x.json"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -253,7 +253,49 @@ class TestPptVerdict:
         assert err.value.check == "positivity"
 
 
+class TestValidateDensity:
+    def test_bell_spectrum(self):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+        report = criteria.validate_density(bell, DIMS22)
+        assert report.trace == 1.0
+        assert abs(report.min_eigenvalue) < 1e-12
+        assert abs(report.min_pt_eigenvalue + 0.5) < 1e-12
+        assert report.ppt is False
+        assert report.ppt == criteria.ppt_verdict(bell, DIMS22)
+
+    def test_fields_are_python_scalars(self):
+        report = criteria.validate_density(criteria.counterexample_state(), DIMS22)
+        assert [type(x) for x in report] == [float, float, float, bool]
+
+    def test_checks_run_hermiticity_trace_positivity(self):
+        # each input fails its named check and every check after it
+        bad = np.diag(np.array([4.0, 0.5, 0.5, -1.0], dtype=complex))
+        for check, matrix in (("positivity", bad / linalg.trace(bad).real),
+                              ("trace", bad)):
+            with pytest.raises(NotDensityMatrix) as err:
+                criteria.validate_density(matrix, DIMS22)
+            assert err.value.check == check
+        bad[0, 1] = 0.2
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(bad, DIMS22)
+        assert err.value.check == "hermiticity"
+
+
 class TestCounterexample:
+    def test_matrices_match_the_constants(self):
+        c = criteria
+        state = np.zeros((4, 4), dtype=complex)
+        state[0, 0], state[1, 1], state[2, 2], state[3, 3] = c.CX_A1, c.CX_B1, c.CX_D1, c.CX_E1
+        state[0, 3], state[3, 0] = np.conj(c.CX_F1), c.CX_F1
+        state[1, 2], state[2, 1] = np.conj(c.CX_C1), c.CX_C1
+        assert np.array_equal(c.counterexample_state(), state)
+        stated = np.zeros((4, 4), dtype=complex)
+        stated[0, 0], stated[1, 1], stated[2, 2], stated[3, 3] = c.CX_A1, c.CX_B1, c.CX_E1, c.CX_D1
+        stated[0, 3], stated[3, 0] = np.conj(c.CX_F2), c.CX_F2
+        stated[1, 2], stated[2, 1] = np.conj(c.CX_C2), c.CX_C2
+        assert np.array_equal(c.counterexample_pt_product(), stated)
+
     def test_state_is_valid(self):
         rho = criteria.counterexample_state()
         assert abs(linalg.trace(rho) - 1.0) < 1e-15

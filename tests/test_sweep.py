@@ -114,6 +114,8 @@ def test_state_columns_match_factor_report(tmp_path, rng):
     ("--phase2", "inf", "phase2 must be finite"),
     ("--t1", "1e200", "overflows"),
     ("--t1", "1e30", "overflows"),
+    # a negative number in exponent form is only read as a value after `=`
+    ("--t1", "-1e-3", "t1 must be nonnegative"),
 ])
 def test_bad_numbers_exit_3_with_one_error_line(tmp_path, capsys, flag, value, reason):
     out = tmp_path / "s.csv"
