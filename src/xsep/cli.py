@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: pt, analyze, construct, check-equality, sweep, counterexample,
-selftest. Exit codes: 0 success, 2 parse failure, 3 validation failure,
-4 non-density input, 5 I/O failure.
+selftest. Exit codes: 0 success, 1 failed selftest, 2 command-line or
+matrix-file parse failure, 3 validation failure, 4 non-density input,
+5 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ import sys
 
 import numpy as np
 
-from . import criteria, linalg, matfile, xstate
+from . import criteria, linalg, matfile, selftest, xstate
 from .bipartite import BipartiteDims, partial_transpose
-from .errors import (
-    DimensionMismatch,
-    EqualityHypothesisError,
-    InvalidParams,
-    MatrixFileError,
-    NotDensityMatrix,
-    NotHermitian,
-)
+from .errors import DimensionMismatch, InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
 from .matfile import format_float as fmt
 
 EXIT_OK = 0
@@ -32,6 +26,14 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_DENSITY = 4
 EXIT_IO = 5
+
+# Exit code of each error a subcommand raises; the first matching type wins.
+_EXIT_CODES = {
+    MatrixFileError: EXIT_PARSE,
+    NotDensityMatrix: EXIT_NOT_DENSITY,
+    XsepError: EXIT_VALIDATION,
+    OSError: EXIT_IO,
+}
 
 
 def _complex_arg(text: str) -> complex:
@@ -72,7 +74,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _resolve_dims(args, file_dims, dim: int) -> BipartiteDims:
-    if args.m is not None and args.n is not None:
+    if (args.m is None) != (args.n is None):
+        raise InvalidParams("--m and --n must be given together")
+    if args.m is not None:
         dims = BipartiteDims(args.m, args.n)
     elif file_dims is not None:
         dims = file_dims
@@ -117,7 +121,8 @@ def cmd_analyze(args) -> int:
         "x_shaped": x_shaped,
     }
     if x_shaped:
-        payload["concurrence"] = xstate.concurrence(xstate.XMatrix.from_matrix(matrix, args.tol))
+        x = xstate.XMatrix.from_matrix(matrix, args.tol)
+        payload["concurrence"] = xstate.concurrence(x, trace_tol=args.tol)
     _emit(args, payload)
     return EXIT_OK
 
@@ -147,17 +152,7 @@ def cmd_check_equality(args) -> int:
     pair = xstate.build_factors(params)
     report = criteria.factor_report(pair.p1, pair.p2, tol=args.tol)
     gap_eigs = [] if report.gap_eigenvalues is None else [float(w) for w in report.gap_eigenvalues]
-    payload = {
-        "gap_frobenius": report.gap_frobenius,
-        "gap_eigenvalues": gap_eigs,
-        "equality_holds": report.equality_holds,
-        "min_pt_eigenvalue": report.min_pt_eigenvalue,
-        "theorem2_lhs": report.theorem2_lhs,
-        "theorem2_rhs": report.theorem2_rhs,
-        "theorem2_satisfied": report.theorem2_satisfied,
-        "ppt": report.ppt,
-        "concurrence": report.concurrence,
-    }
+    payload = {**vars(report), "gap_eigenvalues": gap_eigs}
     verdict = "equality holds" if report.equality_holds else "equality fails"
     lines = [
         f"gap_frobenius: {fmt(report.gap_frobenius)}",
@@ -257,182 +252,8 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _check_identity_product() -> tuple[bool, str]:
-    eye = np.eye(4, dtype=complex)
-    return linalg.frobenius_norm(linalg.mul(eye, eye) - eye) == 0.0, "I*I != I"
-
-
-def _check_product_x_shape() -> tuple[bool, str]:
-    params = xstate.XParams(0.3, 0.2, 0.2, 0.3, 0.5, 0.4j)
-    pair = xstate.build_factors(params)
-    prod = linalg.mul(pair.p1, pair.p2)
-    ok = (
-        xstate.is_x_shaped(prod, 0.0)
-        and prod[0, 3] == params.t1 * params.v1
-        and prod[1, 2] == params.t2 * params.v2
-        and prod[2, 1] == params.t3 * np.conj(params.v2)
-        and prod[3, 0] == params.t4 * np.conj(params.v1)
-    )
-    return ok, "product entries do not match the X pattern"
-
-
-def _check_p2_spectrum() -> tuple[bool, str]:
-    pair = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.5, 0.3))
-    w = linalg.hermitian_eigenvalues(pair.p2)
-    expected = np.array([1.5, 1.3, 0.7, 0.5])
-    return bool(np.max(np.abs(w - expected)) < 1e-12), f"spectrum {w} != {expected}"
-
-
-def _check_pt_factor_swap() -> tuple[bool, str]:
-    pair = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.5, 0.3j))
-    swapped = partial_transpose(pair.p2, criteria.TWO_QUBITS)
-    ok = swapped[0, 3] == 0.3j and swapped[1, 2] == 0.5
-    return ok, "partial transposition did not swap the off-diagonal amplitudes"
-
-
-def _check_gap_closed_form() -> tuple[bool, str]:
-    params = xstate.XParams.symmetric(0.1, 0.4, 0.5, 0.2)
-    pair = xstate.build_factors(params)
-    gap = criteria.pt_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)
-    r = params.t2 - params.t1
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = r * params.v2
-    expected[3, 0] = r * np.conj(params.v2)
-    expected[1, 2] = -r * params.v1
-    expected[2, 1] = -r * np.conj(params.v1)
-    if linalg.frobenius_norm(gap - expected) > 1e-15:
-        return False, "gap matrix does not match the antidiagonal closed form"
-    w = linalg.hermitian_eigenvalues(gap)
-    target = np.sort(np.array([0.15, 0.06, -0.06, -0.15]))[::-1]
-    return bool(np.max(np.abs(w - target)) < 1e-12), f"gap spectrum {w} != {target}"
-
-
-def _check_equality_family() -> tuple[bool, str]:
-    params = xstate.XParams.symmetric(0.25, 0.25, 0.6, 0.3j)
-    pair = xstate.build_factors(params)
-    gap = criteria.pt_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)
-    if linalg.frobenius_norm(gap) > 1e-14:
-        return False, "gap does not vanish for equal diagonal weights"
-    t1 = params.t1
-    delta = xstate.XMatrix(t1, t1, t1, t1, c14=t1 * params.v2, c23=t1 * params.v1).matrix()
-    lhs = partial_transpose(linalg.mul(pair.p1, pair.p2), criteria.TWO_QUBITS)
-    rhs = linalg.mul(
-        partial_transpose(pair.p1, criteria.TWO_QUBITS),
-        partial_transpose(pair.p2, criteria.TWO_QUBITS),
-    )
-    ok = (
-        linalg.frobenius_norm(lhs - delta) <= 1e-14
-        and linalg.frobenius_norm(rhs - delta) <= 1e-14
-    )
-    return ok, "both sides should equal the shared closed-form matrix"
-
-
-def _check_min_pt_closed_form() -> tuple[bool, str]:
-    params = xstate.XParams.symmetric(0.35, 0.15, 0.7j, 0.4)
-    pair = xstate.build_factors(params)
-    rho = linalg.mul(pair.p1, pair.p2)
-    got = criteria.validate_density(rho, criteria.TWO_QUBITS).min_pt_eigenvalue
-    t1, t2 = params.t1, params.t2
-    expected = min(
-        t1 + t2 * abs(params.v2), t1 - t2 * abs(params.v2),
-        t2 + t1 * abs(params.v1), t2 - t1 * abs(params.v1),
-    )
-    return abs(got - expected) < 1e-12, f"min PT eigenvalue {got} != {expected}"
-
-
-def _check_theorem2_rhs() -> tuple[bool, str]:
-    ok = abs(criteria.THEOREM2_RHS - 2.0 ** 11 / 9.0) < 1e-12
-    return ok, f"right-hand constant is {criteria.THEOREM2_RHS!r}"
-
-
-def _check_theorem2_identity_factors() -> tuple[bool, str]:
-    check = criteria.theorem2_check(np.eye(4, dtype=complex) / 4.0, np.eye(4, dtype=complex))
-    expected = 81.0 / 256.0 ** 3 + 2.0
-    ok = abs(check.lhs - expected) < 1e-12 and check.satisfied
-    return ok, f"lhs {check.lhs} != {expected}"
-
-
-def _check_corollary1_order9() -> tuple[bool, str]:
-    eye9 = np.eye(9, dtype=complex)
-    check = criteria.corollary1_check(eye9, eye9, (3, 3))
-    ok = (
-        abs(check.lhs - 62.0) < 1e-9
-        and abs(check.rhs - 81.0 / 2.0 ** 1.5) < 1e-9
-        and not check.satisfied
-    )
-    return ok, f"lhs {check.lhs}, rhs {check.rhs}"
-
-
-def _check_counterexample() -> tuple[bool, str]:
-    rho = criteria.counterexample_state()
-    if abs(linalg.trace(rho).real - 1.0) > 1e-14:
-        return False, f"trace {linalg.trace(rho).real!r} != 1"
-    if abs(criteria.CX_B1 * criteria.CX_D1 - 23.0 / 468.0) > 1e-15:
-        return False, "inner block discriminant is not 23/468"
-    if abs(criteria.CX_A1 * criteria.CX_E1 - 23.0 / 468.0) > 1e-15:
-        return False, "outer block discriminant is not 23/468"
-    w = linalg.hermitian_eigenvalues(rho)
-    if not (abs(w[-1]) <= 1e-12 and abs(w[-2]) <= 1e-12):
-        return False, f"two zero modes expected, spectrum {w}"
-    if not criteria.ppt_verdict(rho, criteria.TWO_QUBITS):
-        return False, "reference state should be PPT"
-    gap_norm = linalg.frobenius_norm(criteria.counterexample_gap())
-    return gap_norm > 1e-3, f"gap norm {gap_norm} not above 1e-3"
-
-
-def _check_bell_state() -> tuple[bool, str]:
-    bell = np.zeros((4, 4), dtype=complex)
-    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    conc = xstate.concurrence(xstate.XMatrix.from_matrix(bell))
-    density = criteria.validate_density(bell, criteria.TWO_QUBITS)
-    min_pt, ppt = density.min_pt_eigenvalue, density.ppt
-    ok = abs(conc - 1.0) < 1e-14 and abs(min_pt + 0.5) < 1e-12 and not ppt
-    return ok, f"concurrence {conc}, min PT eigenvalue {min_pt}, ppt {ppt}"
-
-
-def _check_x_eigen_closed_form() -> tuple[bool, str]:
-    x = xstate.XMatrix(0.3, 0.2, 0.2, 0.3, c14=0.15 + 0.2j, c23=0.1j)
-    closed = xstate.x_eigenvalues(x)
-    jacobi = linalg.hermitian_eigenvalues(x.matrix())
-    return bool(np.max(np.abs(closed - jacobi)) < 1e-12), "closed form disagrees with Jacobi"
-
-
-_SELFTEST_CHECKS = [
-    ("identity-product", _check_identity_product),
-    ("product-x-shape", _check_product_x_shape),
-    ("p2-spectrum", _check_p2_spectrum),
-    ("pt-factor-swap", _check_pt_factor_swap),
-    ("gap-closed-form", _check_gap_closed_form),
-    ("equality-family", _check_equality_family),
-    ("min-pt-closed-form", _check_min_pt_closed_form),
-    ("theorem2-rhs", _check_theorem2_rhs),
-    ("theorem2-identity-factors", _check_theorem2_identity_factors),
-    ("corollary1-order9", _check_corollary1_order9),
-    ("counterexample", _check_counterexample),
-    ("bell-state", _check_bell_state),
-    ("x-eigen-closed-form", _check_x_eigen_closed_form),
-]
-
-
 def cmd_selftest(args) -> int:
-    failures = 0
-    for name, fn in _SELFTEST_CHECKS:
-        try:
-            ok, detail = fn()
-        except Exception as e:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(e).__name__}: {e}"
-        if ok:
-            print(f"[PASS] {name}")
-        else:
-            print(f"[FAIL] {name}: {detail}")
-            failures += 1
-    total = len(_SELFTEST_CHECKS)
-    print(f"{total - failures}/{total} checks passed")
-    return EXIT_OK if failures == 0 else 1
+    return selftest.run()
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +346,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
+        # Only analyze, check-equality and counterexample take --tol.
+        tol = getattr(args, "tol", 0.0)
+        if not 0.0 <= tol < math.inf:
+            raise InvalidParams(f"tol must be finite and nonnegative, got {tol!r}")
         return args.func(args)
-    except MatrixFileError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotDensityMatrix as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_DENSITY
-    except (InvalidParams, DimensionMismatch, NotHermitian, EqualityHypothesisError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xsep import criteria, matfile
+from xsep import criteria, linalg, matfile
 from xsep.cli import build_parser, main
 
 from conftest import random_complex
+
+BELL = str(Path(__file__).parent / "data" / "cli_golden" / "bell.json")
 
 
 def write_bell(path):
@@ -108,6 +112,18 @@ class TestAnalyze:
         matfile.save(str(src), np.eye(4, dtype=complex), (2, 2))
         assert main(["analyze", str(src)]) == 4
         assert "trace" in capsys.readouterr().err
+
+    def test_trace_decided_under_tol(self, tmp_path, capsys):
+        src = tmp_path / "x.json"
+        rho = np.diag(np.array([0.2502, 0.25, 0.25, 0.25], dtype=complex))
+        rho[0, 3] = rho[3, 0] = 0.1
+        matfile.save(str(src), rho, (2, 2))
+        assert main(["analyze", str(src), "--tol", "1e-3"]) == 0
+        out = capsys.readouterr().out
+        assert "trace: 1.000200000000" in out
+        assert "concurrence: 0.000000000000" in out
+        assert main(["analyze", str(src)]) == 4
+        assert "trace check failed" in capsys.readouterr().err
 
     def test_text_output(self, tmp_path, capsys):
         src = tmp_path / "bell.json"
@@ -267,6 +283,21 @@ class TestSelftest:
         assert main(["selftest"]) == 1
         assert "[FAIL] theorem2-rhs" in capsys.readouterr().out
 
+    def test_raising_check_fails(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(criteria, "corollary1_check", broken)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] corollary1-order9: raised RuntimeError: broken\n" in out
+        assert out.endswith("12/13 checks passed\n")
+
+    def test_nan_comparison_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "trace", lambda a: math.nan)
+        assert main(["selftest"]) == 1
+        assert "[FAIL] counterexample: trace: nan != 1.0\n" in capsys.readouterr().out
+
     def test_runtime_under_five_seconds(self):
         start = time.perf_counter()
         assert main(["selftest"]) == 0
@@ -284,6 +315,30 @@ def test_console_script():
 
 def test_unknown_command_exits_nonzero(capsys):
     assert main(["no-such-command"]) != 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", BELL],
+    ["check-equality", "--t1", "0.25", "--t2", "0.25"],
+    ["counterexample"],
+], ids=["analyze", "check-equality", "counterexample"])
+@pytest.mark.parametrize("tol", [["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol=-inf"]],
+                         ids=["-1", "nan", "inf", "=-inf"])
+def test_bad_tol_exit_3(argv, tol, capsys):
+    assert main(argv + tol) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tol must be finite and nonnegative, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pt", "analyze"])
+@pytest.mark.parametrize("flag", [["--m", "4"], ["--n", "2"]], ids=["m", "n"])
+def test_one_of_m_n_exit_3(command, flag, capsys):
+    assert main([command, BELL, *flag]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --m and --n must be given together\n"
 
 
 class TestParser:
