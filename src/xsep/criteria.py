@@ -203,13 +203,19 @@ class DensityReport(NamedTuple):
 def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> DensityReport:
     """Check that rho is a density matrix, then take the PPT verdict.
 
-    Hermiticity, unit trace and positivity are checked in that order, each
-    within tol; the first that fails raises NotDensityMatrix naming it.
+    Finiteness, then Hermiticity, unit trace and positivity are checked in
+    that order, the last three within tol; the first that fails raises
+    NotDensityMatrix naming it.
     For 2x2 and 2x3 systems PPT decides separability exactly; in larger
     dimensions it only reports the PPT property.
     """
     dims = BipartiteDims.of(dims)
     rho = np.asarray(rho, dtype=complex)
+    where = linalg.nonfinite_entries(rho)
+    if where:
+        raise NotDensityMatrix(
+            f"finiteness check failed: non-finite entries at {where}", check="finiteness"
+        )
     defect, (i, j) = linalg.hermiticity_defect(rho)
     if defect > tol:
         raise NotDensityMatrix(
@@ -262,7 +268,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
 
     The determinant inequality sides are reported unconditionally (the
     equality verdict says whether its hypothesis held); the concurrence
-    is included only when the product is a normalized X state.
+    is included only when the product is an X state of trace 1 within tol.
     """
     p1 = np.asarray(p1, dtype=complex)
     p2 = np.asarray(p2, dtype=complex)
@@ -281,8 +287,8 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
     lhs = theorem2_lhs(d1 * d2)
     conc = None
-    if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= 1e-9:
-        conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol))
+    if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= tol:
+        conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol), trace_tol=tol)
     return CriterionReport(
         gap_frobenius=gap_norm,
         gap_eigenvalues=gap_eigs,

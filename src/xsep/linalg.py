@@ -1,10 +1,14 @@
 """Dense complex matrix arithmetic and spectral routines.
 
 Everything operates on square complex numpy arrays of modest dimension
-(the rest of the package never needs more than ~16). Eigenvalues of
-Hermitian matrices are computed with a cyclic Jacobi sweep, determinants
-with LU and partial pivoting; both are self-contained so results do not
-depend on the installed LAPACK.
+(the rest of the package never needs more than ~16). Spectra and
+determinants first split the matrix on its zero pattern: a symmetric
+permutation of the indices makes it block diagonal, one block per
+connected component (an X matrix is two 2x2 blocks). 1x1 and 2x2 blocks
+are solved in closed form, exact to a few ulps; larger blocks go to a
+cyclic Jacobi sweep (eigenvalues) or LU with partial pivoting
+(determinants). All of it is self-contained: results do not depend on
+the installed LAPACK.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ JACOBI_RTOL = 1e-13
 
 _MAX_JACOBI_SWEEPS = 100
 
+# Dekker's splitter 2**27 + 1: cuts a double into two halves whose products are exact.
+_SPLIT = 134217729.0
+
 
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and convert input to a square complex matrix.
@@ -34,9 +41,48 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise XsepError(f"{name} contains non-finite entries")
+    _require_finite(m, name)
     return m
+
+
+def nonfinite_entries(a: np.ndarray) -> str:
+    """The positions `(i,j)` of NaN or infinite entries, comma-separated; "" if none."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return ""
+    return ", ".join(f"({i},{j})" for i, j in np.argwhere(~finite).tolist())
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    where = nonfinite_entries(a)
+    if where:
+        raise XsepError(f"{name} has non-finite entries at {where}")
+
+
+def _components(a: np.ndarray) -> list[list[int]] | None:
+    """Connected components of the nonzero pattern of a | a.T, as sorted index lists.
+
+    Only exact zeros split. Returns None when there is a single component,
+    which a row 0 without a zero entry settles after two NumPy calls.
+    Permuting the indices component by component makes `a` block diagonal.
+    """
+    if np.count_nonzero(a[0]) == len(a):
+        return None
+    nonzero = (a != 0).tolist()
+    seen = [False] * len(nonzero)
+    components = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        seen[start] = True
+        component = [start]
+        for i in component:  # grows while walked: a breadth-first search
+            for j, edge in enumerate(nonzero[i]):
+                if (edge or nonzero[j][i]) and not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        components.append(sorted(component))
+    return components if len(components) > 1 else None
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,15 +108,37 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def det(a: np.ndarray) -> complex:
-    """Determinant via LU decomposition with partial pivoting.
+    """Determinant, the product of those of the blocks of the zero pattern.
 
-    Returns exactly 0 when a pivot column vanishes. Valid for arbitrary
-    (not necessarily Hermitian) square inputs.
+    A 1x1 block contributes its entry, a 2x2 block ad - bc, a larger one
+    its LU decomposition with partial pivoting, which returns exactly 0
+    when a pivot column vanishes. Valid for arbitrary (not necessarily
+    Hermitian) square inputs; raises XsepError on a non-finite entry.
     """
     m = np.array(a, dtype=complex)
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise DimensionMismatch(f"determinant needs a square matrix, got {m.shape}")
+    _require_finite(m, "determinant input")
+    blocks = _components(m)
+    if blocks is None:
+        return _lu_det(m)
+    rows = m.tolist()
+    out = 1 + 0j
+    for idx in blocks:
+        if len(idx) == 1:
+            out *= rows[idx[0]][idx[0]]
+        elif len(idx) == 2:
+            i, j = idx
+            out *= rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
+        else:
+            out *= _lu_det(m[np.ix_(idx, idx)])
+    return out
+
+
+def _lu_det(m: np.ndarray) -> complex:
+    """Determinant by LU with partial pivoting; overwrites m."""
+    n = m.shape[0]
     sign = 1.0
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(m[k:, k])))
@@ -88,8 +156,8 @@ def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest |a[i,j] - conj(a[j,i])| and the entry pair achieving it."""
     a = np.asarray(a, dtype=complex)
     d = np.abs(a - a.conj().T)
-    i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-    return float(d[i, j]), (int(i), int(j))
+    i, j = divmod(int(np.argmax(d)), d.shape[1])
+    return float(d[i, j]), (i, j)
 
 
 def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
@@ -100,17 +168,57 @@ def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
             f"{defect:.3e} (tol {tol:.3e})",
             pair=(i, j),
         )
-    # Symmetrize roundoff so the Jacobi sweep sees an exactly Hermitian matrix.
-    return 0.5 * (a + a.conj().T)
+    # Symmetrize roundoff so the eigensolver sees an exactly Hermitian matrix;
+    # halving first keeps entries near the float maximum from overflowing.
+    return 0.5 * a + 0.5 * a.conj().T
 
 
-def _jacobi_spectrum(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an exactly Hermitian matrix by cyclic Jacobi rotations."""
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """x*y as the unevaluated sum p + e of two floats, exactly (Dekker 1971)."""
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
+    """Both eigenvalues of [[a, c], [conj(c), b]], c != 0, each within a few ulps.
+
+    The one of larger magnitude is mean +- hypot(half-gap, |c|), taking the
+    sign of the mean, so nothing cancels. The other is det / that one, with
+    det = ab - Re(c)^2 - Im(c)^2 rounded once from exact products: on a block
+    with a near-zero eigenvalue `mean - rad` would lose every digit. The
+    block is first scaled by a power of two, so that multiplying the matrix
+    by any factor from 1e-150 to 1e150 leaves the relative accuracy as it is.
+    """
+    e = math.frexp(max(abs(a), abs(b), abs(c.real), abs(c.imag)))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
+    cr, ci = math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
+    mean = 0.5 * (a + b)
+    big = mean + math.copysign(math.hypot(0.5 * (a - b), cr, ci), mean)
+    p, q = _two_product(a, b)
+    r, s = _two_product(cr, cr)
+    u, v = _two_product(ci, ci)
+    det = math.fsum((p, q, -r, -s, -u, -v))
+    # Scaling back by 2 * 2**(e-1) rather than math.ldexp(x, e) turns an
+    # eigenvalue past the float range into inf instead of an OverflowError.
+    half_up = math.ldexp(1.0, e - 1)
+    return 2.0 * big * half_up, 2.0 * (det / big) * half_up
+
+
+def _jacobi_spectrum(h: np.ndarray, thresh: float) -> np.ndarray:
+    """Eigenvalues of an exactly Hermitian matrix by cyclic Jacobi rotations.
+
+    Sweeps stop once every off-diagonal magnitude is at most `thresh`.
+    """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
     if n == 1:
         return np.array([a[0, 0].real])
-    thresh = JACOBI_RTOL * frobenius_norm(a)
     if thresh == 0.0:
         return np.zeros(n)
     for _ in range(_MAX_JACOBI_SWEEPS):
@@ -154,14 +262,32 @@ def _jacobi_spectrum(h: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, sorted descending.
 
-    The input must be Hermitian within `tol` (largest entry mismatch);
-    degenerate eigenvalues are reported with multiplicity.
+    The input must be finite and Hermitian within `tol` (largest entry
+    mismatch); degenerate eigenvalues are reported with multiplicity. Each
+    block of the zero pattern is solved on its own: 1x1 and 2x2 blocks in
+    closed form, larger ones by Jacobi under the whole matrix's threshold
+    JACOBI_RTOL * ||a||_F.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"eigensolver needs a square matrix, got {a.shape}")
+    _require_finite(a, "eigensolver input")
     h = _require_hermitian(a, tol)
-    w = _jacobi_spectrum(h)
+    blocks = _components(h)
+    if blocks is None:
+        w = _jacobi_spectrum(h, JACOBI_RTOL * frobenius_norm(h))
+    else:
+        rows = h.tolist()
+        w = []
+        for idx in blocks:
+            if len(idx) == 1:
+                w.append(rows[idx[0]][idx[0]].real)
+            elif len(idx) == 2:
+                i, j = idx
+                w += _hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
+            else:
+                sub = h[np.ix_(idx, idx)]
+                w += _jacobi_spectrum(sub, JACOBI_RTOL * frobenius_norm(h)).tolist()
     return np.sort(w)[::-1].copy()
 
 

@@ -41,6 +41,22 @@ def block_spectrum(d_hi, d_lo, corner):
     return mean + rad, mean - rad
 
 
+# A fixed dense unitary, the Householder reflection I - 2 v v^H / |v|^2.
+_V = np.array([1.0, 2.0j, -1.5, 0.5 + 1.0j])
+DENSE_UNITARY = np.eye(4) - 2.0 * np.outer(_V, _V.conj()) / np.vdot(_V, _V).real
+
+
+def densify(m):
+    """U m U^H for the dense unitary U: the spectrum of m, with no zero entry.
+
+    The eigensolver then finds a single block and runs Jacobi on the whole
+    matrix instead of the closed form it uses on the 2x2 blocks of an X matrix.
+    """
+    dense = DENSE_UNITARY @ m @ DENSE_UNITARY.conj().T
+    assert np.all(dense != 0)
+    return dense
+
+
 def x_spectrum_oracle(m):
     """All four eigenvalues of a dense X matrix from its two 2x2 blocks."""
     out = block_spectrum(m[0, 0].real, m[3, 3].real, m[0, 3])

@@ -193,6 +193,16 @@ class TestCheckEquality:
         assert main(["check-equality", "--t1", "0.7", "--t2", "0.1"]) == 0
         assert "equality holds" in capsys.readouterr().out
 
+    def test_trace_decided_under_tol_as_analyze_does(self, tmp_path, capsys):
+        # t1 + t2 = 0.5001: the product has trace 1.0002
+        params = ["--t1", "0.2501", "--t2", "0.25"]
+        assert main(["check-equality", *params, "--tol", "1e-3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["concurrence"] == 0.0
+        src = tmp_path / "x.json"
+        assert main(["construct", *params, "--out", str(src)]) == 0
+        assert main(["analyze", str(src), "--tol", "1e-3"]) == 0
+        assert "concurrence: 0.000000000000" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_grid_two_corners(self, tmp_path):

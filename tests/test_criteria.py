@@ -281,6 +281,15 @@ class TestValidateDensity:
             criteria.validate_density(bad, DIMS22)
         assert err.value.check == "hermiticity"
 
+    @pytest.mark.parametrize("where", [(1, 2), (2, 7)], ids=["in-2x2-block", "dense"])
+    def test_non_finite_fails_before_hermiticity(self, rng, where):
+        # one NaN also breaks Hermiticity, but finiteness is reported first
+        rho = np.eye(4, dtype=complex) / 4.0 if where == (1, 2) else random_hermitian(rng, 9)
+        rho[where] = np.nan
+        with pytest.raises(NotDensityMatrix, match=r"at \(%d,%d\)$" % where) as err:
+            criteria.validate_density(rho, DIMS22 if len(rho) == 4 else (3, 3))
+        assert err.value.check == "finiteness"
+
 
 class TestCounterexample:
     def test_matrices_match_the_constants(self):
@@ -340,6 +349,12 @@ class TestFactorReport:
         assert report.equality_holds == (report.gap_frobenius <= criteria.DEFAULT_TOL)
         # trace 2(t1+t2) = 1 so the product is a normalized X state
         assert report.concurrence is not None
+
+    def test_trace_decided_under_tol(self):
+        # the product has trace 2 (t1 + t2) = 1.0002
+        pair = family_pair(0.2501, 0.25, 0.0, 0.0)
+        assert criteria.factor_report(pair.p1, pair.p2, tol=1e-3).concurrence == 0.0
+        assert criteria.factor_report(pair.p1, pair.p2).concurrence is None
 
     def test_consistency_grid(self):
         # on the equality family every point is satisfied, PPT and unentangled

@@ -1,15 +1,18 @@
 """Unit tests for the dense complex matrix routines."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsep import criteria, linalg, xstate
 from xsep.bipartite import partial_transpose
-from xsep.errors import DimensionMismatch, NotHermitian
+from xsep.errors import DimensionMismatch, NotHermitian, XsepError
 
-from conftest import random_complex, random_hermitian, random_x_matrix, x_spectrum_oracle
+from conftest import densify, random_complex, random_hermitian, random_x_matrix, x_spectrum_oracle
 
 
 def naive_mul(a, b):
@@ -179,7 +182,7 @@ class TestHermitianEigenvalues:
     def test_jacobi_vs_x_block_closed_form(self, rng):
         for _ in range(10_000):
             m = random_x_matrix(rng)
-            w = linalg.hermitian_eigenvalues(m)
+            w = linalg.hermitian_eigenvalues(densify(m))
             assert np.max(np.abs(w - x_spectrum_oracle(m))) < 1e-10
 
     def test_eigenvalue_sum_is_trace(self, rng):
@@ -245,3 +248,116 @@ class TestIsPsd:
         assert Fraction(23, 4 * 117) == Fraction(23, 468)
         assert Fraction(23, 36 * 13) == Fraction(23, 468)
         assert linalg.is_psd(criteria.counterexample_state())
+
+
+@st.composite
+def block_permuted(draw, hermitian):
+    """(matrix, block orders): blocks of order 1/2/3/5 at n = 4/9/16, indices permuted.
+
+    Every entry inside a block is nonzero, so the blocks are the components
+    of the zero pattern. Non-Hermitian blocks get a diagonal shift that keeps
+    them well conditioned, so the determinant is accurate to a few ulps.
+    """
+    n = draw(st.sampled_from([4, 9, 16]))
+    orders = []
+    while sum(orders) < n:
+        orders.append(draw(st.sampled_from([k for k in (1, 2, 3, 5) if sum(orders) + k <= n])))
+    perm = np.array(draw(st.permutations(range(n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for k in orders:
+        g = random_complex(rng, k)
+        block = g + g.conj().T if hermitian else g + 3.0 * k * np.eye(k)
+        m[start:start + k, start:start + k] = block
+        start += k
+    return m[np.ix_(perm, perm)], orders
+
+
+class TestBlockSplit:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_permuted(hermitian=True))
+    def test_spectrum_matches_numpy(self, case):
+        m, orders = case
+        # no block has order n, so the split always finds the planted blocks
+        assert sorted(map(len, linalg._components(m))) == sorted(orders)
+        w = linalg.hermitian_eigenvalues(m)
+        ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(m)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_permuted(hermitian=False))
+    def test_det_matches_numpy(self, case):
+        m, _ = case
+        ref = np.linalg.det(m)
+        assert abs(linalg.det(m) - ref) <= 1e-12 * abs(ref)
+
+    def test_connected_pattern_is_one_component(self, rng):
+        m = random_hermitian(rng, 9)
+        m[3, 5] = m[5, 3] = 0.0
+        assert linalg._components(m) is None
+        m[0, 4] = m[4, 0] = 0.0
+        assert linalg._components(m) is None  # still connected through other entries
+
+
+def x_block_cases(rng):
+    """X matrices: random, and with a zero block discriminant in exact arithmetic."""
+    cases = [random_x_matrix(rng) for _ in range(40)]
+    for _ in range(40):
+        # |c|^2 = d_hi d_lo before c is rounded: an eigenvalue at or near 0.
+        d = rng.random(4)
+        c14 = math.sqrt(d[0] * d[3]) * np.exp(2j * np.pi * rng.random())
+        c23 = math.sqrt(d[1] * d[2]) * np.exp(2j * np.pi * rng.random())
+        cases.append(xstate.XMatrix(*d, c14=c14, c23=c23).matrix())
+    cases.append(xstate.XMatrix(1.0, 0.25, 0.25, 4.0, c14=2.0j, c23=0.25).matrix())
+    cases.append(xstate.XMatrix(0.0, 0.5, 0.5, 0.0, c14=0.0, c23=0.3 - 0.4j).matrix())
+    rho = criteria.counterexample_state()
+    cases += [rho, partial_transpose(rho, (2, 2)), criteria.counterexample_pt_product()]
+    gap = np.zeros((4, 4), dtype=complex)
+    gap[0, 3], gap[3, 0], gap[1, 2], gap[2, 1] = 0.06, 0.06, -0.15j, 0.15j
+    cases.append(gap)
+    return cases
+
+
+def mp_x_eigenvalues(m):
+    """The four eigenvalues of the stored X matrix m at 60 digits, descending."""
+    mpmath = pytest.importorskip("mpmath")
+    w = []
+    with mpmath.workdps(60):
+        for i, j in ((0, 3), (1, 2)):
+            a, b = mpmath.mpf(m[i, i].real), mpmath.mpf(m[j, j].real)
+            cr, ci = mpmath.mpf(m[i, j].real), mpmath.mpf(m[i, j].imag)
+            rad = mpmath.sqrt(((a - b) / 2) ** 2 + cr ** 2 + ci ** 2)
+            w += [(a + b) / 2 + rad, (a + b) / 2 - rad]
+    return sorted(w, reverse=True)
+
+
+class TestTwoByTwoAccuracy:
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_within_four_ulps_of_mpmath(self, rng, scale):
+        for m in x_block_cases(rng):
+            m = m * scale
+            w = linalg.hermitian_eigenvalues(m)
+            assert np.all(np.isfinite(w))
+            for got, ref in zip(w.tolist(), mp_x_eigenvalues(m)):
+                assert abs(got - ref) <= 4 * math.ulp(float(ref)), (got, ref)
+
+    def test_entries_near_the_float_maximum(self):
+        # a + a^H would overflow on the diagonal; the spectrum does not
+        m = np.diag(np.full(4, 1e308)).astype(complex)
+        m[0, 3] = m[3, 0] = 5e307
+        m[1, 2], m[2, 1] = -5e307j, 5e307j
+        w = linalg.hermitian_eigenvalues(m)
+        for got, ref in zip(w.tolist(), [1.5e308, 1.5e308, 5e307, 5e307]):
+            assert abs(got - ref) <= 4 * math.ulp(ref)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("where", [(1, 2), (2, 7)], ids=["in-2x2-block", "dense"])
+    def test_raises_naming_the_entry(self, rng, where):
+        m = np.eye(4, dtype=complex) / 4.0 if where == (1, 2) else random_hermitian(rng, 9)
+        m[where] = np.nan
+        i, j = where
+        for call in (linalg.hermitian_eigenvalues, linalg.det):
+            with pytest.raises(XsepError, match=rf"non-finite entries at \({i},{j}\)$"):
+                call(m)
