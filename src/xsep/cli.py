@@ -197,7 +197,12 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m1, m2)
     conc = xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m1, m2)
     # Partial transposition swaps the two corner amplitudes of an X state.
-    min_pt = xstate.x_min_eigenvalue(0.25, 0.25, 0.25, 0.25, m2, m1)
+    # Both blocks have diagonal (1/4, 1/4), so `x_min_eigenvalue` of a cell is
+    # the lower of the blocks' lower eigenvalues, one per corner modulus:
+    # solve the block of each distinct modulus once.
+    low = {m: linalg.hermitian_2x2(0.25, 0.25, m)[1]
+           for m in {*m1.ravel().tolist(), *m2.ravel().tolist()}}
+    min_pt = np.minimum(np.vectorize(low.get)(m1), np.vectorize(low.get)(m2))
     # det of the unit-diagonal X factor after partial transposition
     d2 = xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v_abs[None, :], v_abs[:, None])
     prod = d1 * d2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,6 +108,8 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def _real_det(a: np.ndarray, name: str) -> float:
     d = linalg.det(a)
+    if not (math.isfinite(d.real) and math.isfinite(d.imag)):
+        raise InvalidParams(f"det({name}) overflows: got {d!r}")
     if abs(d.imag) > 1e-10 * (1.0 + abs(d)):
         raise InvalidParams(
             f"det({name}) = {d!r} has a significant imaginary part; "
@@ -131,6 +133,22 @@ def theorem2_lhs(prod: float) -> float:
     from `**` on floats, so array callers apply this per element.
     """
     return 81.0 * prod ** 3 + 512.0 * prod
+
+
+def _inequality(lhs_of: Callable[[float, float], float], d1: float, d2: float,
+                rhs: float) -> InequalityCheck:
+    """The verdict lhs_of(d1, d2) <= rhs; InvalidParams if the left side overflows."""
+    try:
+        lhs = lhs_of(d1, d2)
+    except OverflowError:
+        lhs = math.inf
+    if not math.isfinite(lhs):
+        raise InvalidParams(f"the inequality's left side overflows at D1 = {d1!r}, D2 = {d2!r}")
+    return InequalityCheck(lhs, rhs, lhs <= rhs)
+
+
+def _theorem2_lhs_of(d1: float, d2: float) -> float:
+    return theorem2_lhs(d1 * d2)
 
 
 def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> InequalityCheck:
@@ -157,8 +175,7 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
         )
     d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    lhs = theorem2_lhs(d1 * d2)
-    return InequalityCheck(lhs, THEOREM2_RHS, lhs <= THEOREM2_RHS)
+    return _inequality(_theorem2_lhs_of, d1, d2, THEOREM2_RHS)
 
 
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
@@ -186,9 +203,11 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
         )
     n = dims.n
     d1, d2 = det_inequality_sides(p1, p2, dims)
-    lhs = (n - 1.0) ** n * (d1 ** 3) * (d2 ** 3) + 2.0 * float(n) ** n * d1 * d2
     rhs = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
-    return InequalityCheck(lhs, rhs, lhs <= rhs)
+    return _inequality(
+        lambda d1, d2: (n - 1.0) ** n * (d1 ** 3) * (d2 ** 3) + 2.0 * float(n) ** n * d1 * d2,
+        d1, d2, rhs,
+    )
 
 
 class DensityReport(NamedTuple):
@@ -285,7 +304,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     prod = linalg.mul(p1, p2)
     min_pt = linalg.min_eigenvalue(partial_transpose(prod, TWO_QUBITS), tol)
     d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    lhs = theorem2_lhs(d1 * d2)
+    theorem2 = _inequality(_theorem2_lhs_of, d1, d2, THEOREM2_RHS)
     conc = None
     if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= tol:
         conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol), trace_tol=tol)
@@ -294,9 +313,9 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
         gap_eigenvalues=gap_eigs,
         equality_holds=gap_norm <= tol,
         min_pt_eigenvalue=min_pt,
-        theorem2_lhs=lhs,
+        theorem2_lhs=theorem2.lhs,
         theorem2_rhs=THEOREM2_RHS,
-        theorem2_satisfied=lhs <= THEOREM2_RHS,
+        theorem2_satisfied=theorem2.satisfied,
         ppt=min_pt >= -tol,
         concurrence=conc,
     )

@@ -5,7 +5,8 @@ Everything operates on square complex numpy arrays of modest dimension
 determinants first split the matrix on its zero pattern: a symmetric
 permutation of the indices makes it block diagonal, one block per
 connected component (an X matrix is two 2x2 blocks). 1x1 and 2x2 blocks
-are solved in closed form, exact to a few ulps; larger blocks go to a
+are solved in closed form, exact to a few ulps (`hermitian_2x2`, the one
+2x2 Hermitian form, which `xstate` uses too); larger blocks go to a
 cyclic Jacobi sweep (eigenvalues) or LU with partial pivoting
 (determinants). All of it is self-contained: results do not depend on
 the installed LAPACK.
@@ -185,16 +186,20 @@ def _two_product(x: float, y: float) -> tuple[float, float]:
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def _hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
-    """Both eigenvalues of [[a, c], [conj(c), b]], c != 0, each within a few ulps.
+def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
+    """Eigenvalues of [[a, c], [conj(c), b]], descending, each within a few ulps.
 
-    The one of larger magnitude is mean +- hypot(half-gap, |c|), taking the
-    sign of the mean, so nothing cancels. The other is det / that one, with
-    det = ab - Re(c)^2 - Im(c)^2 rounded once from exact products: on a block
-    with a near-zero eigenvalue `mean - rad` would lose every digit. The
-    block is first scaled by a power of two, so that multiplying the matrix
-    by any factor from 1e-150 to 1e150 leaves the relative accuracy as it is.
+    The package's one 2x2 Hermitian form. With c == 0 they are a and b;
+    otherwise the one of larger magnitude is mean +- hypot(half-gap, |c|),
+    taking the sign of the mean, so nothing cancels. The other is det / that
+    one, with det = ab - Re(c)^2 - Im(c)^2 rounded once from exact products:
+    on a block with a near-zero eigenvalue `mean - rad` would lose every
+    digit. The block is first scaled by a power of two, so that multiplying
+    the matrix by any factor from 1e-150 to 1e150 leaves the relative
+    accuracy as it is.
     """
+    if c == 0:
+        return (a, b) if a >= b else (b, a)
     e = math.frexp(max(abs(a), abs(b), abs(c.real), abs(c.imag)))[1]
     a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     cr, ci = math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
@@ -207,7 +212,8 @@ def _hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     # Scaling back by 2 * 2**(e-1) rather than math.ldexp(x, e) turns an
     # eigenvalue past the float range into inf instead of an OverflowError.
     half_up = math.ldexp(1.0, e - 1)
-    return 2.0 * big * half_up, 2.0 * (det / big) * half_up
+    big, other = 2.0 * big * half_up, 2.0 * (det / big) * half_up
+    return (big, other) if big >= other else (other, big)
 
 
 def _jacobi_spectrum(h: np.ndarray, thresh: float) -> np.ndarray:
@@ -284,7 +290,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
                 w.append(rows[idx[0]][idx[0]].real)
             elif len(idx) == 2:
                 i, j = idx
-                w += _hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
+                w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
             else:
                 sub = h[np.ix_(idx, idx)]
                 w += _jacobi_spectrum(sub, JACOBI_RTOL * frobenius_norm(h)).tolist()

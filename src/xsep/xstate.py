@@ -10,11 +10,15 @@ two-qubit state.
 All criteria downstream depend only on |v1| and |v2|, but the matrices
 built here keep the complex phases: partial transposition acts on the
 phased entries.
+
+The spectra come from `linalg.hermitian_2x2`, the package's one closed form
+for 2x2 Hermitian blocks: an X matrix is two such blocks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +26,9 @@ import numpy as np
 from . import linalg
 from .errors import InvalidParams
 
-# Slack on the |v| <= 1 bound, absorbing roundoff in moduli of unit phases.
-_V_BOUND_SLACK = 1e-12
+# Slack on the |v| <= 1 bound, absorbing roundoff in moduli of unit phases:
+# abs(complex(cos t, sin t)) stays within a few ulps of 1.
+_V_BOUND_SLACK = 4 * sys.float_info.epsilon
 
 # Slack on the 2x2 block PSD inequalities of an X matrix.
 _PSD_SLACK = 1e-10
@@ -190,9 +195,10 @@ def product_state(params: XParams) -> XMatrix:
 
 
 # Closed forms on the entries of an X matrix: four diagonal floats and the
-# corner moduli |c14|, |c23|. The moduli may be NumPy arrays, and the result
-# is then broadcast over them (the sweep evaluates a whole lattice in one
-# call); on Python floats the forms stay off NumPy's per-call overhead.
+# corner moduli |c14|, |c23|. Apart from `x_min_eigenvalue`, the moduli may be
+# NumPy arrays, and the result is then broadcast over them (the sweep
+# evaluates a whole lattice in one call); on Python floats the forms stay off
+# NumPy's per-call overhead.
 
 
 def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
@@ -216,34 +222,15 @@ def _check_block(label: str, dd, sq) -> None:
     raise InvalidParams(f"{label} ({dd} < {sq})")
 
 
-def _block_eigenvalues(a, b, abs_c):
-    """Eigenvalues (mean + rad, mean - rad) of the block [[a, c], [conj(c), b]].
-
-    rad = sqrt(half-gap^2 + |c|^2) needs only the modulus of the corner.
-    """
-    mean = 0.5 * (a + b)
-    half = 0.5 * (a - b)
-    sq = half * half + abs_c * abs_c
-    rad = np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
-    return mean + rad, mean - rad
-
-
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
-    """The four eigenvalues of an X matrix in closed form, sorted descending.
-
-    Each 2x2 block contributes mean +- sqrt(half-gap^2 + |corner|^2).
-    """
-    w = _block_eigenvalues(x.d11, x.d44, abs(x.c14))
-    w += _block_eigenvalues(x.d22, x.d33, abs(x.c23))
-    return np.array(sorted(w, reverse=True))
+    """The four eigenvalues of an X matrix, sorted descending: those of its two 2x2 blocks."""
+    return linalg.hermitian_eigenvalues(x.matrix())
 
 
-def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23):
+def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
     """Smallest eigenvalue of an X matrix: the lower of its blocks' lower eigenvalues."""
-    outer = _block_eigenvalues(d11, d44, abs_c14)[1]
-    inner = _block_eigenvalues(d22, d33, abs_c23)[1]
-    if isinstance(outer, np.ndarray) or isinstance(inner, np.ndarray):
-        return np.minimum(outer, inner)
+    outer = linalg.hermitian_2x2(d11, d44, abs_c14)[1]
+    inner = linalg.hermitian_2x2(d22, d33, abs_c23)[1]
     return min(outer, inner)
 
 

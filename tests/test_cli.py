@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,19 @@ class TestCheckEquality:
         assert main(["construct", *params, "--out", str(src)]) == 0
         assert main(["analyze", str(src), "--tol", "1e-3"]) == 0
         assert "concurrence: 0.000000000000" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("t, extra", [("1e30", []), ("1e308", ["--json"])])
+    def test_overflowing_left_side_exits_3(self, capsys, t, extra):
+        # 1e30: 81 D^3 overflows; 1e308: det(P1^G) itself is not finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-equality", "--t1", t, "--t2", t,
+                         "--v1", "0.5", "--v2", "0.5", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflows" in captured.err
 
 
 class TestSweep:

@@ -184,6 +184,13 @@ class TestTheorem2:
             assert criteria.theorem2_check(pair.p1, pair.p2).lhs == lhs
             assert criteria.factor_report(pair.p1, pair.p2).theorem2_lhs == lhs
 
+    @pytest.mark.parametrize("t", [1e30, 1e154, 1e308])
+    def test_overflow_raises_invalid_params(self, t):
+        pair = family_pair(t, t, 0.5, 0.5)
+        for check in (criteria.theorem2_check, criteria.factor_report):
+            with pytest.raises(InvalidParams, match="overflows"):
+                check(pair.p1, pair.p2)
+
     def test_quarter_family_closed_form(self, rng):
         # D1 = 4^-4 and D2 = (1-|v1|^2)(1-|v2|^2) on the equality family
         for _ in range(200):
@@ -220,6 +227,11 @@ class TestCorollary1:
         assert abs(check.lhs - (81.0 * 1e-9 + 0.512)) < 1e-9
         assert abs(check.rhs - 4.0 ** 5.5 / 9.0) < 1e-9
         assert check.satisfied
+
+    def test_overflow_raises_invalid_params(self):
+        big = 1e20 * np.eye(9, dtype=complex)  # det 1e180 is finite, its cube is not
+        with pytest.raises(InvalidParams, match="overflows"):
+            criteria.corollary1_check(big, big, (3, 3))
 
     def test_rejects_small_subsystems(self):
         with pytest.raises(InvalidParams, match=">= 3"):

@@ -2,10 +2,14 @@
 
 The sweep evaluates its lattice in one NumPy pass. Its rows must equal,
 byte for byte, the rows the scalar library functions give cell by cell,
-and agree with `factor_report` on the dense factor pair.
+agree with `factor_report` on the dense factor pair, and hash to the
+sha256 recorded in `bench/golden_sweep.json`.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from xsep.cli import main
 from xsep.matfile import format_float as fmt
 from xsep.xstate import XMatrix, XParams
 
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "golden_sweep.json"
 HEADER = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig"
 
 # t1 > 1 is where NumPy's elementwise power and `**` on floats disagree.
@@ -40,9 +45,10 @@ def reference_rows(t1, grid, literal, phase1, phase2):
             v2 = v2a * e2
             lhs = criteria.theorem2_lhs(d1 * ((1.0 - v1a * v1a) * (1.0 - v2a * v2a)))
             state = XMatrix(0.25, 0.25, 0.25, 0.25, c14=v1 / 4.0, c23=v2 / 4.0)
-            pt_state = XMatrix(0.25, 0.25, 0.25, 0.25, c14=v2 / 4.0, c23=v1 / 4.0)
             conc = xstate.concurrence(state)
-            min_pt = float(xstate.x_eigenvalues(pt_state)[-1])
+            # The partial transpose swaps the corners; the column is its
+            # smallest eigenvalue on the corner moduli.
+            min_pt = xstate.x_min_eigenvalue(0.25, 0.25, 0.25, 0.25, abs(v2 / 4.0), abs(v1 / 4.0))
             satisfied = "true" if lhs <= rhs else "false"
             yield (
                 f"{fmt(v1a)},{fmt(v2a)},{fmt(lhs)},{fmt(rhs)},"
@@ -68,6 +74,17 @@ def test_rows_equal_scalar_reference(tmp_path, t1, grid, literal, phase1, phase2
     got = sweep_csv(tmp_path, t1, grid, literal, phase1, phase2)
     want = "\n".join([HEADER, *reference_rows(t1, grid, literal, phase1, phase2)]) + "\n"
     assert got == want
+
+
+def test_csv_bytes_match_recorded_sha256(capsys):
+    golden = json.loads(GOLDEN_SWEEP.read_text())["sha256"]
+    assert len(golden) == 53
+    wrong = []
+    for key, digest in golden.items():
+        assert main(key.split()) == 0
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
+            wrong.append(key)
+    assert wrong == []
 
 
 def sampled_cells(text, grid, rng, count=40):

@@ -1,5 +1,7 @@
 """Unit tests for the X-state family, spectra and concurrence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from xsep import criteria, linalg, xstate
 from xsep.errors import InvalidParams
 from xsep.xstate import XMatrix, XParams
 
-from conftest import random_unit_disc
+from conftest import random_unit_disc, random_x_matrix
 
 
 def random_symmetric_params(rng, normalized=False):
@@ -29,6 +31,13 @@ class TestXParams:
             XParams(1, 1, 1, 1, 1.2, 0j)
         with pytest.raises(InvalidParams, match=r"\|v2\|"):
             XParams(1, 1, 1, 1, 0j, 1.0 + 1e-6)
+
+    def test_amplitude_slack_is_a_few_ulps(self, rng):
+        with pytest.raises(InvalidParams, match=r"\|v1\|"):
+            XParams(1, 1, 1, 1, 1.0 + 1e-12, 0j)
+        for t in rng.uniform(-10.0, 10.0, 2000).tolist():
+            phase = complex(math.cos(t), math.sin(t))
+            XParams(1, 1, 1, 1, phase, phase.conjugate())
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParams):
@@ -158,19 +167,56 @@ class TestXEigenvalues:
             assert np.max(np.abs(closed - jacobi)) < 1e-10
 
 
+def random_x_with_zero_corners(rng):
+    """A random X matrix whose corners are complex, or exactly zero one time in eight."""
+    m = random_x_matrix(rng)
+    for i, j in ((0, 3), (1, 2)):
+        if rng.random() < 0.125:
+            m[i, j] = m[j, i] = 0.0
+    return XMatrix.from_matrix(m)
+
+
+class TestOneClosedForm:
+    """The X spectra are those of `linalg.hermitian_2x2`, bit for bit."""
+
+    def test_eigenvalues_equal_the_general_solver(self, rng):
+        for _ in range(2000):
+            x = random_x_with_zero_corners(rng)
+            got = xstate.x_eigenvalues(x)
+            assert got.tolist() == linalg.hermitian_eigenvalues(x.matrix()).tolist()
+
+    def test_min_eigenvalue_on_moduli_equals_the_real_corner_spectrum(self, rng):
+        for _ in range(2000):
+            x = random_x_with_zero_corners(rng)
+            moduli = (abs(x.c14), abs(x.c23))
+            real = XMatrix(x.d11, x.d22, x.d33, x.d44, *moduli).matrix()
+            low = xstate.x_min_eigenvalue(x.d11, x.d22, x.d33, x.d44, *moduli)
+            assert low == linalg.hermitian_eigenvalues(real)[-1]
+
+    def test_zero_corners_give_the_diagonal(self):
+        assert xstate.x_min_eigenvalue(0.3, 0.2, 0.2, 0.3, 0.0, 0.0) == 0.2
+        assert xstate.x_min_eigenvalue(0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
+        assert linalg.hermitian_2x2(0.3, 0.2, 0j) == (0.3, 0.2)
+        assert linalg.hermitian_2x2(0.0, 0.0, 0j) == (0.0, 0.0)
+
+    def test_pair_is_descending_for_a_negative_mean(self):
+        hi, lo = linalg.hermitian_2x2(-1.0, -2.0, 0.5 + 0.25j)
+        assert hi > lo
+        assert abs(hi + lo + 3.0) < 1e-15
+        assert linalg.hermitian_2x2(-0.2, -0.3, 0j) == (-0.2, -0.3)
+
+
 class TestArrayForms:
     """The closed forms on arrays equal the scalar library calls element by element."""
 
-    def test_min_eigenvalue_and_determinant(self, rng):
+    def test_determinant(self, rng):
         for _ in range(20):
             diag = rng.random(4).tolist()
             m14 = rng.random(50) * np.sqrt(diag[0] * diag[3])
             m23 = rng.random(50) * np.sqrt(diag[1] * diag[2])
-            lows = xstate.x_min_eigenvalue(*diag, m14, m23)
             dets = xstate.x_determinant(*diag, m14, m23)
             for k in range(50):
                 x = XMatrix(*diag, c14=m14[k], c23=m23[k])
-                assert lows[k] == xstate.x_eigenvalues(x)[-1]
                 assert abs(dets[k] - linalg.det(x.matrix()).real) < 1e-14
 
     def test_concurrence(self, rng):
