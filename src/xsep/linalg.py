@@ -6,10 +6,12 @@ determinants first split the matrix on its zero pattern: a symmetric
 permutation of the indices makes it block diagonal, one block per
 connected component (an X matrix is two 2x2 blocks). 1x1 and 2x2 blocks
 are solved in closed form, exact to a few ulps (`hermitian_2x2`, the one
-2x2 Hermitian form, which `xstate` uses too); larger blocks go to a
-cyclic Jacobi sweep (eigenvalues) or LU with partial pivoting
-(determinants). All of it is self-contained: results do not depend on
-the installed LAPACK.
+2x2 Hermitian form, which `xstate` uses too); larger blocks go to
+cyclic Jacobi rotations (eigenvalues) or LU with partial pivoting
+(determinants). Jacobi runs on lists of Python complex, not NumPy rows:
+each rotation updates two columns, mirrors them into the two rows by
+conjugation, and keeps the diagonal as a list of floats. All of it is
+self-contained: results do not depend on the installed LAPACK.
 """
 
 from __future__ import annotations
@@ -103,9 +105,18 @@ def trace(a: np.ndarray) -> complex:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entry magnitudes."""
-    a = np.asarray(a)
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    """Square root of the sum of squared entry magnitudes.
+
+    The magnitudes are first scaled by a power of two that brings the
+    largest near 1, so no square overflows or underflows; in range, the
+    result has the same bits as the unscaled sum.
+    """
+    m = np.abs(np.asarray(a))
+    e = math.frexp(float(m.max(initial=0.0)))[1]
+    r = math.sqrt(np.sum(np.square(np.ldexp(m, -e))))
+    # 2 * 2**(e-1) rather than math.ldexp(r, e): past the float range this is
+    # inf, not an OverflowError.
+    return 2.0 * r * math.ldexp(1.0, e - 1)
 
 
 def det(a: np.ndarray) -> complex:
@@ -216,29 +227,37 @@ def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     return (big, other) if big >= other else (other, big)
 
 
-def _jacobi_spectrum(h: np.ndarray, thresh: float) -> np.ndarray:
+def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
     """Eigenvalues of an exactly Hermitian matrix by cyclic Jacobi rotations.
 
-    Sweeps stop once every off-diagonal magnitude is at most `thresh`.
+    Sweeps stop once every off-diagonal magnitude is at most `thresh`. The
+    work runs on lists of Python complex, where a rotation of a matrix of
+    order <= 16 costs less than the NumPy calls that would make it. Each
+    rotation updates the entries of columns p and q outside rows p and q,
+    and mirrors them into rows p and q by conjugation, which keeps the
+    matrix exactly Hermitian. The diagonal is a list of floats, updated
+    from the rotation alone (Rutishauser's form).
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
+    a = h.tolist()
+    n = len(a)
+    d = [a[k][k].real for k in range(n)]
     if n == 1:
-        return np.array([a[0, 0].real])
+        return d
     if thresh == 0.0:
-        return np.zeros(n)
+        return [0.0] * n
     for _ in range(_MAX_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
+            row_p = a[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = row_p[q]
                 b = abs(apq)
                 if b <= thresh:
                     continue
                 rotated = True
                 phase = apq / b
-                alpha = a[p, p].real
-                gamma = a[q, q].real
+                alpha = d[p]
+                gamma = d[q]
                 tau = (gamma - alpha) / (2.0 * b)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -247,21 +266,27 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> np.ndarray:
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 # Unitary V: V[p,p]=V[q,q]=c, V[p,q]=s*phase, V[q,p]=-s*conj(phase);
-                # update a <- V^dagger a V on rows/columns p and q.
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
+                # a <- V^dagger a V changes only rows and columns p and q.
+                s_phase = s * phase
+                s_conj = s_phase.conjugate()
+                row_q = a[q]
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    row_k = a[k]
+                    akp = row_k[p]
+                    akq = row_k[q]
+                    x = c * akp - s_conj * akq
+                    y = s_phase * akp + c * akq
+                    row_k[p] = x
+                    row_k[q] = y
+                    row_p[k] = x.conjugate()
+                    row_q[k] = y.conjugate()
+                row_p[q] = row_q[p] = 0j
+                d[p] = alpha - t * b
+                d[q] = gamma + t * b
         if not rotated:
-            return np.diag(a).real.copy()
+            return d
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
@@ -293,7 +318,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
                 w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
             else:
                 sub = h[np.ix_(idx, idx)]
-                w += _jacobi_spectrum(sub, JACOBI_RTOL * frobenius_norm(h)).tolist()
+                w += _jacobi_spectrum(sub, JACOBI_RTOL * frobenius_norm(h))
     return np.sort(w)[::-1].copy()
 
 

@@ -217,6 +217,16 @@ class TestCheckEquality:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "overflows" in captured.err
 
+    def test_huge_factors_print_one_error_line(self, capsys):
+        # The gap norm, taken before det(P1^G) overflows, must not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-equality", "--t1", "1e200", "--t2", "1e199",
+                         "--v1", "0.5", "--v2", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestSweep:
     def test_grid_two_corners(self, tmp_path):

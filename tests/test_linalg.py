@@ -1,6 +1,7 @@
 """Unit tests for the dense complex matrix routines."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from xsep.bipartite import partial_transpose
 from xsep.errors import DimensionMismatch, NotHermitian, XsepError
 
 from conftest import densify, random_complex, random_hermitian, random_x_matrix, x_spectrum_oracle
+
+EPS = np.finfo(float).eps
 
 
 def naive_mul(a, b):
@@ -136,6 +139,24 @@ class TestFrobenius:
             via_trace = linalg.trace(linalg.mul(a.conj().T, a)).real
             assert abs(linalg.frobenius_norm(a) ** 2 - via_trace) < 1e-12 * max(1.0, via_trace)
 
+    def test_same_bits_as_the_unscaled_sum(self, rng):
+        for d in (2, 4, 9, 16):
+            a = random_complex(rng, d)
+            assert linalg.frobenius_norm(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_scales_exactly_with_a_power_of_two(self, rng, e):
+        a = random_complex(rng, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.frobenius_norm(np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e))
+        assert got == math.ldexp(linalg.frobenius_norm(a), e)
+
+    def test_past_the_float_range_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.frobenius_norm(np.full((4, 4), 1e308)) == math.inf
+
 
 class TestHermitianEigenvalues:
     def test_p2_spectrum_golden(self):
@@ -206,6 +227,81 @@ class TestHermitianEigenvalues:
             w = linalg.hermitian_eigenvalues(h)
             f2 = linalg.frobenius_norm(h) ** 2
             assert abs(f2 - np.sum(w ** 2)) < 1e-10 * max(1.0, f2)
+
+
+def with_spectrum(rng, w):
+    """Q diag(w) Q^H for a random unitary Q, made exactly Hermitian; no entry is zero."""
+    q, _ = np.linalg.qr(random_complex(rng, len(w)))
+    h = (q * w) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+def mp_eigenvalues(h):
+    """The eigenvalues of the stored Hermitian matrix h at 30 digits, descending."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        w = mpmath.eighe(mpmath.matrix(h.tolist()), eigvals_only=True)
+        return np.sort([float(x) for x in w])[::-1]
+
+
+class TestDenseJacobi:
+    """Connected matrices, so the whole matrix goes to Jacobi.
+
+    The reference is exact where the spectrum is known and mpmath otherwise:
+    eigvalsh is itself off by up to about 4 eps ||A||_F at n = 3, more than
+    the n eps ||A||_F asked of Jacobi there.
+    """
+
+    @staticmethod
+    def assert_close(h, ref, tol):
+        assert linalg._components(h) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = linalg.hermitian_eigenvalues(h)
+        assert np.max(np.abs(w - ref)) <= tol
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16])
+    def test_random(self, rng, n):
+        for _ in range(5):
+            h = random_hermitian(rng, n)
+            self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h))
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_identity_plus_rank_one(self, rng, n):
+        for _ in range(10):
+            v = random_complex(rng, n)[0]
+            h = np.eye(n) + np.outer(v, v.conj())
+            ref = np.r_[1.0 + np.vdot(v, v).real, np.ones(n - 1)]
+            self.assert_close(h, ref, n * EPS * np.linalg.norm(h))
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-12])
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_clustered(self, rng, n, spread):
+        # Sweeps stop at off-diagonals <= JACOBI_RTOL ||A||_F, so within a
+        # cluster tighter than that threshold an eigenvalue is resolved only to
+        # ||off-diagonal||_2 < n * JACOBI_RTOL * ||A||_F (Weyl), not to n eps.
+        for _ in range(10):
+            w = np.concatenate([1.0 + spread * rng.standard_normal(n // 2),
+                                -2.0 + 1e-3 * rng.standard_normal(n - n // 2)])
+            h = with_spectrum(rng, w)
+            tol = n * (EPS + linalg.JACOBI_RTOL) * np.linalg.norm(h)
+            self.assert_close(h, np.linalg.eigvalsh(h)[::-1], tol)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-170])
+    def test_scaled(self, rng, scale):
+        for n in (3, 4, 9, 16):
+            for _ in range(2):
+                h0 = random_hermitian(rng, n)
+                h = h0 * scale
+                self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h0) * scale)
+        m = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex)
+        self.assert_close(m * scale, np.array([4.0, 1.0, 1.0]) * scale,
+                          3 * EPS * np.linalg.norm(m) * scale)
+
+    def test_sweep_limit_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 0)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            linalg.hermitian_eigenvalues(random_hermitian(rng, 4))
 
 
 class TestMinEigenvalue:
