@@ -14,6 +14,7 @@ dimension factors as m*n (not only density matrices).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,23 @@ from .errors import DimensionMismatch, InvalidParams
 
 @dataclass(frozen=True)
 class BipartiteDims:
-    """Subsystem dimensions (m, n) of an m (x) n bipartite space."""
+    """Subsystem dimensions (m, n) of an m (x) n bipartite space.
+
+    Python and NumPy integers (anything with `__index__`) are accepted and
+    stored as int; anything else, a float of integral value included,
+    raises InvalidParams.
+    """
 
     m: int
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise InvalidParams("subsystem dimensions must be integers")
+        try:
+            m, n = operator.index(self.m), operator.index(self.n)
+        except TypeError:
+            raise InvalidParams("subsystem dimensions must be integers") from None
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         if self.m < 2 or self.n < 2:
             raise InvalidParams(
                 f"subsystem dimensions must be >= 2, got ({self.m}, {self.n})"
@@ -45,7 +55,7 @@ class BipartiteDims:
         if isinstance(dims, BipartiteDims):
             return dims
         m, n = dims
-        return cls(int(m), int(n))
+        return cls(m, n)
 
 
 def _blocks(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:

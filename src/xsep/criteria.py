@@ -72,13 +72,24 @@ class CriterionReport:
     concurrence: float | None
 
 
+def _evaluate(p1: np.ndarray, p2: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, ...]:
+    """The gap (P1 P2)^G - P1^G P2^G, P1 P2, (P1 P2)^G, P1^G and P2^G, each formed once."""
+    prod = linalg.mul(p1, p2)
+    prod_pt, p1_pt, p2_pt = (partial_transpose(a, dims) for a in (prod, p1, p2))
+    return prod_pt - linalg.mul(p1_pt, p2_pt), prod, prod_pt, p1_pt, p2_pt
+
+
+def _evaluate_two_qubits(p1: np.ndarray, p2: np.ndarray, needs: str) -> tuple[np.ndarray, ...]:
+    """`_evaluate` on a 4x4 pair; otherwise DimensionMismatch, worded `needs`."""
+    p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
+    if p1.shape != (4, 4) or p2.shape != (4, 4):
+        raise DimensionMismatch(f"{needs} 4x4 factors, got {p1.shape} and {p2.shape}")
+    return _evaluate(p1, p2, TWO_QUBITS)
+
+
 def pt_gap(p1: np.ndarray, p2: np.ndarray, dims) -> np.ndarray:
     """(P1 P2)^G - P1^G P2^G."""
-    dims = BipartiteDims.of(dims)
-    prod = linalg.mul(p1, p2)
-    return partial_transpose(prod, dims) - linalg.mul(
-        partial_transpose(p1, dims), partial_transpose(p2, dims)
-    )
+    return _evaluate(p1, p2, BipartiteDims.of(dims))[0]
 
 
 def equality_holds(p1: np.ndarray, p2: np.ndarray, dims, tol: float = DEFAULT_TOL) -> bool:
@@ -147,8 +158,10 @@ def _inequality(lhs_of: Callable[[float, float], float], d1: float, d2: float,
     return InequalityCheck(lhs, rhs, lhs <= rhs)
 
 
-def _theorem2_lhs_of(d1: float, d2: float) -> float:
-    return theorem2_lhs(d1 * d2)
+def _theorem2(p1_pt: np.ndarray, p2_pt: np.ndarray) -> InequalityCheck:
+    """The two-qubit inequality on det(P1^G) and det(P2^G)."""
+    d1, d2 = _real_det(p1_pt, "p1^G"), _real_det(p2_pt, "p2^G")
+    return _inequality(lambda d1, d2: theorem2_lhs(d1 * d2), d1, d2, THEOREM2_RHS)
 
 
 def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> InequalityCheck:
@@ -162,20 +175,14 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
     so the gap norm is checked first; a satisfied verdict is a sufficient
     condition for separability of the 4x4 product state, never necessary.
     """
-    p1 = np.asarray(p1, dtype=complex)
-    p2 = np.asarray(p2, dtype=complex)
-    if p1.shape != (4, 4) or p2.shape != (4, 4):
-        raise DimensionMismatch(
-            f"two-qubit criterion needs 4x4 factors, got {p1.shape} and {p2.shape}"
-        )
-    gap_norm = linalg.frobenius_norm(pt_gap(p1, p2, TWO_QUBITS))
+    gap, _, _, p1_pt, p2_pt = _evaluate_two_qubits(p1, p2, "two-qubit criterion needs")
+    gap_norm = linalg.frobenius_norm(gap)
     if gap_norm > tol:
         raise EqualityHypothesisError(
             f"factor pair violates the transposition equality (gap norm "
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
         )
-    d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    return _inequality(_theorem2_lhs_of, d1, d2, THEOREM2_RHS)
+    return _theorem2(p1_pt, p2_pt)
 
 
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
@@ -289,22 +296,14 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     equality verdict says whether its hypothesis held); the concurrence
     is included only when the product is an X state of trace 1 within tol.
     """
-    p1 = np.asarray(p1, dtype=complex)
-    p2 = np.asarray(p2, dtype=complex)
-    if p1.shape != (4, 4) or p2.shape != (4, 4):
-        raise DimensionMismatch(
-            f"report is defined for 4x4 factors, got {p1.shape} and {p2.shape}"
-        )
-    gap = pt_gap(p1, p2, TWO_QUBITS)
+    gap, prod, prod_pt, p1_pt, p2_pt = _evaluate_two_qubits(p1, p2, "report is defined for")
     gap_norm = linalg.frobenius_norm(gap)
     try:
         gap_eigs = linalg.hermitian_eigenvalues(gap, tol)
     except NotHermitian:
         gap_eigs = None
-    prod = linalg.mul(p1, p2)
-    min_pt = linalg.min_eigenvalue(partial_transpose(prod, TWO_QUBITS), tol)
-    d1, d2 = det_inequality_sides(p1, p2, TWO_QUBITS)
-    theorem2 = _inequality(_theorem2_lhs_of, d1, d2, THEOREM2_RHS)
+    min_pt = linalg.min_eigenvalue(prod_pt, tol)
+    theorem2 = _theorem2(p1_pt, p2_pt)
     conc = None
     if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= tol:
         conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol), trace_tol=tol)

@@ -104,16 +104,24 @@ def trace(a: np.ndarray) -> complex:
     return complex(np.asarray(a).trace())
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entry magnitudes.
+def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
+    """(r, e) with ||a||_F = r * 2**e, e the exponent of the largest entry magnitude.
 
-    The magnitudes are first scaled by a power of two that brings the
-    largest near 1, so no square overflows or underflows; in range, the
-    result has the same bits as the unscaled sum.
+    The magnitudes are scaled by 2**-e, which brings the largest near 1,
+    before they are squared, so no square overflows or underflows.
     """
     m = np.abs(np.asarray(a))
     e = math.frexp(float(m.max(initial=0.0)))[1]
-    r = math.sqrt(np.sum(np.square(np.ldexp(m, -e))))
+    return math.sqrt(np.sum(np.square(np.ldexp(m, -e)))), e
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """Square root of the sum of squared entry magnitudes.
+
+    Summed in `_scaled_norm`'s units; in range, the result has the same
+    bits as the unscaled sum.
+    """
+    r, e = _scaled_norm(a)
     # 2 * 2**(e-1) rather than math.ldexp(r, e): past the float range this is
     # inf, not an OverflowError.
     return 2.0 * r * math.ldexp(1.0, e - 1)
@@ -243,8 +251,6 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
     d = [a[k][k].real for k in range(n)]
     if n == 1:
         return d
-    if thresh == 0.0:
-        return [0.0] * n
     for _ in range(_MAX_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
@@ -290,6 +296,25 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
+def _scaled_jacobi(h: np.ndarray, idx: list[int] | None = None) -> list[float]:
+    """Jacobi eigenvalues of h, or of its block on `idx`, under JACOBI_RTOL * ||h||_F.
+
+    Both run in `_scaled_norm`'s units, h times the power of two 2**-e that
+    brings its largest entry near 1, so the threshold cannot underflow to 0
+    on a tiny h. The scaling is exact: in range the eigenvalues have the
+    bits of the unscaled run.
+    """
+    r, e = _scaled_norm(h)
+    # ldexp on the interleaved real and imaginary parts: 2**-e itself is out
+    # of range when h is deep in the subnormals.
+    scaled = np.ldexp(np.ascontiguousarray(h).view(np.float64), -e).view(complex)
+    block = scaled if idx is None else scaled[np.ix_(idx, idx)]
+    w = _jacobi_spectrum(block, JACOBI_RTOL * r)
+    # 2 * 2**(e-1) rather than 2**e, as in `hermitian_2x2`.
+    half_up = math.ldexp(1.0, e - 1)
+    return [2.0 * x * half_up for x in w]
+
+
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, sorted descending.
 
@@ -306,7 +331,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     h = _require_hermitian(a, tol)
     blocks = _components(h)
     if blocks is None:
-        w = _jacobi_spectrum(h, JACOBI_RTOL * frobenius_norm(h))
+        w = _scaled_jacobi(h)
     else:
         rows = h.tolist()
         w = []
@@ -317,8 +342,7 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
                 i, j = idx
                 w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
             else:
-                sub = h[np.ix_(idx, idx)]
-                w += _jacobi_spectrum(sub, JACOBI_RTOL * frobenius_norm(h))
+                w += _scaled_jacobi(h, idx)
     return np.sort(w)[::-1].copy()
 
 

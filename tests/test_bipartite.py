@@ -35,6 +35,22 @@ class TestDims:
     def test_total(self):
         assert BipartiteDims(2, 3).total == 6
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.0), ("2", 2), (2, None)])
+    def test_rejects_non_integers(self, dims):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            BipartiteDims.of(dims)
+        with pytest.raises(InvalidParams, match="must be integers"):
+            BipartiteDims(*dims)
+
+    def test_non_integer_dims_do_not_truncate(self):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            partial_transpose(np.eye(4), (2.9, 2.2))
+
+    def test_accepts_numpy_integers_as_int(self):
+        dims = BipartiteDims.of((np.int64(2), np.int32(3)))
+        assert dims == BipartiteDims(2, 3)
+        assert type(dims.m) is int and type(dims.n) is int
+
 
 class TestPartialTranspose:
     def test_identity_fixed_point(self):

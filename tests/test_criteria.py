@@ -382,3 +382,55 @@ class TestFactorReport:
                 assert criteria.ppt_verdict(rho, DIMS22, 1e-12)
                 assert xstate.concurrence(xstate.XMatrix.from_matrix(rho)) == 0.0
         assert pair0.p1.shape == (4, 4)
+
+
+class TestSharedEvaluation:
+    """A factor pair's product and partial transposes are formed once per call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"mul": 0, "partial_transpose": 0}
+        mul, pt = linalg.mul, criteria.partial_transpose
+
+        def counted_mul(a, b):
+            counts["mul"] += 1
+            return mul(a, b)
+
+        def counted_pt(a, dims):
+            counts["partial_transpose"] += 1
+            return pt(a, dims)
+
+        monkeypatch.setattr(linalg, "mul", counted_mul)
+        monkeypatch.setattr(criteria, "partial_transpose", counted_pt)
+        return counts
+
+    @pytest.mark.parametrize("check", [criteria.factor_report, criteria.theorem2_check])
+    def test_two_products_three_partial_transposes(self, counts, check):
+        pair = family_pair(0.25, 0.25, 0.6, 0.3j)
+        check(pair.p1, pair.p2)
+        assert counts == {"mul": 2, "partial_transpose": 3}
+
+    def test_report_has_the_bits_of_the_single_criteria(self, rng):
+        pairs = [(family_pair(0.25, 0.25, random_unit_disc(rng), random_unit_disc(rng)), True)
+                 for _ in range(20)]
+        for _ in range(20):
+            t1 = 0.5 * rng.random()  # t1 + t2 = 1/2: the product has trace 1
+            pair = family_pair(t1, 0.5 - t1, random_unit_disc(rng), random_unit_disc(rng))
+            pairs.append((pair, t1 == 0.25))
+        for pair, equal in pairs:
+            report = criteria.factor_report(pair.p1, pair.p2)
+            gap = criteria.pt_gap(pair.p1, pair.p2, DIMS22)
+            assert report.gap_frobenius == linalg.frobenius_norm(gap)
+            assert np.array_equal(report.gap_eigenvalues, linalg.hermitian_eigenvalues(gap))
+            assert report.equality_holds == criteria.equality_holds(pair.p1, pair.p2, DIMS22)
+            rho = linalg.mul(pair.p1, pair.p2)
+            density = criteria.validate_density(rho, DIMS22)
+            assert report.min_pt_eigenvalue == density.min_pt_eigenvalue
+            assert report.ppt == density.ppt
+            d1, d2 = criteria.det_inequality_sides(pair.p1, pair.p2, DIMS22)
+            assert report.theorem2_lhs == criteria.theorem2_lhs(d1 * d2)
+            if equal:
+                assert report.equality_holds
+                assert report.theorem2_lhs == criteria.theorem2_check(pair.p1, pair.p2).lhs
+            else:
+                assert not report.equality_holds

@@ -298,6 +298,17 @@ class TestDenseJacobi:
         self.assert_close(m * scale, np.array([4.0, 1.0, 1.0]) * scale,
                           3 * EPS * np.linalg.norm(m) * scale)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -1040, 1e-312])
+    def test_subnormal(self, rng, scale):
+        # Here JACOBI_RTOL * ||A||_F underflows to 0 unless Jacobi runs scaled.
+        # Results land among the subnormals, so allow a few of their ulps.
+        ulps = 4 * math.ldexp(1.0, -1074)
+        m = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex)
+        self.assert_close(m * scale, np.array([4.0, 1.0, 1.0]) * scale, ulps)
+        for n in (3, 4, 9):
+            h = random_hermitian(rng, n) * scale
+            self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h) + n * ulps)
+
     def test_sweep_limit_raises(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 0)
         with pytest.raises(ArithmeticError, match="did not converge"):
