@@ -169,8 +169,8 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     The inequality sides use the factor pair P1 = t1*I and unit-diagonal
     P2 (or the t1-scaled literal form); the concurrence and minimum
     partial-transpose eigenvalue are those of the trace-normalized
-    product, which is the same state for every t1. One NumPy pass
-    evaluates the lattice with the closed forms of `xstate` and `criteria`.
+    product, which is the same state for every t1. The lattice is
+    evaluated with the closed forms of `xstate` and `criteria`.
     """
     try:
         d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
@@ -192,17 +192,20 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     v_abs = np.arange(grid) * (1.0 / (grid - 1))
     # Moduli of the corners v/4 of the normalized product, v1 down the
     # rows and v2 along the columns: |v e^{i phase} / 4|.
-    m1 = np.hypot(v_abs * math.cos(phase1) / 4.0, v_abs * math.sin(phase1) / 4.0)[:, None]
-    m2 = np.hypot(v_abs * math.cos(phase2) / 4.0, v_abs * math.sin(phase2) / 4.0)[None, :]
-    xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m1, m2)
-    conc = xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m1, m2)
-    # Partial transposition swaps the two corner amplitudes of an X state.
-    # Both blocks have diagonal (1/4, 1/4), so `x_min_eigenvalue` of a cell is
-    # the lower of the blocks' lower eigenvalues, one per corner modulus:
-    # solve the block of each distinct modulus once.
-    low = {m: linalg.hermitian_2x2(0.25, 0.25, m)[1]
-           for m in {*m1.ravel().tolist(), *m2.ravel().tolist()}}
-    min_pt = np.minimum(np.vectorize(low.get)(m1), np.vectorize(low.get)(m2))
+    m1 = np.hypot(v_abs * math.cos(phase1) / 4.0, v_abs * math.sin(phase1) / 4.0).tolist()
+    m2 = np.hypot(v_abs * math.cos(phase2) / 4.0, v_abs * math.sin(phase2) / 4.0).tolist()
+    # Every cell has diagonal 1/4, so its concurrence is the larger, and its
+    # minimum partial-transpose eigenvalue (partial transposition swaps the
+    # corners) the smaller, of one term per corner modulus.
+    conc_of, low_of = {}, {}
+    for m in {*m1, *m2}:
+        xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m, m)
+        conc_of[m] = xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0)
+        low_of[m] = linalg.hermitian_2x2(0.25, 0.25, m)[1]
+    conc = np.maximum(np.array([conc_of[m] for m in m1])[:, None],
+                      np.array([conc_of[m] for m in m2])[None, :])
+    min_pt = np.minimum(np.array([low_of[m] for m in m1])[:, None],
+                        np.array([low_of[m] for m in m2])[None, :])
     # det of the unit-diagonal X factor after partial transposition
     d2 = xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v_abs[None, :], v_abs[:, None])
     prod = d1 * d2
@@ -214,7 +217,7 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     for p in set(prod.ravel().tolist()):
         lhs = criteria.theorem2_lhs(p)
         inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
-    rendered = {x: fmt(x) for x in {*conc.ravel().tolist(), *min_pt.ravel().tolist()}}
+    rendered = {x: fmt(x) for x in {*conc_of.values(), *low_of.values()}}
     v_text = [fmt(v) for v in v_abs.tolist()]
     rows = []
     for i, a in enumerate(v_text):

@@ -2,14 +2,15 @@
 
 Everything operates on square complex numpy arrays of modest dimension
 (the rest of the package never needs more than ~16). Spectra and
-determinants first split the matrix on its zero pattern: a symmetric
-permutation of the indices makes it block diagonal, one block per
-connected component (an X matrix is two 2x2 blocks). 1x1 and 2x2 blocks
-are solved in closed form, exact to a few ulps (`hermitian_2x2`, the one
-2x2 Hermitian form, which `xstate` uses too); larger blocks go to
-cyclic Jacobi rotations (eigenvalues) or LU with partial pivoting
-(determinants). Jacobi runs on lists of Python complex, not NumPy rows:
-each rotation updates two columns, mirrors them into the two rows by
+determinants loop over the blocks of the zero pattern: a symmetric
+permutation of the indices makes the matrix block diagonal, one block per
+connected component (an X matrix is two 2x2 blocks, a connected matrix
+one block). 1x1 and 2x2 blocks are solved in closed form, exact to a few
+ulps (`hermitian_2x2`, the one 2x2 Hermitian form, which `xstate` uses
+too), so a connected 2x2 matrix takes the closed form as well; larger
+blocks go to cyclic Jacobi rotations (eigenvalues) or LU with partial
+pivoting (determinants). Jacobi runs on lists of Python complex, not NumPy
+rows: each rotation updates two columns, mirrors them into the two rows by
 conjugation, and keeps the diagonal as a list of floats. All of it is
 self-contained: results do not depend on the installed LAPACK.
 """
@@ -44,7 +45,9 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    _require_finite(m, name)
+    where = nonfinite_entries(m)
+    if where:
+        raise XsepError(f"{name} has non-finite entries at {where}")
     return m
 
 
@@ -56,21 +59,16 @@ def nonfinite_entries(a: np.ndarray) -> str:
     return ", ".join(f"({i},{j})" for i, j in np.argwhere(~finite).tolist())
 
 
-def _require_finite(a: np.ndarray, name: str) -> None:
-    where = nonfinite_entries(a)
-    if where:
-        raise XsepError(f"{name} has non-finite entries at {where}")
-
-
-def _components(a: np.ndarray) -> list[list[int]] | None:
+def _components(a: np.ndarray) -> list[list[int]]:
     """Connected components of the nonzero pattern of a | a.T, as sorted index lists.
 
-    Only exact zeros split. Returns None when there is a single component,
-    which a row 0 without a zero entry settles after two NumPy calls.
-    Permuting the indices component by component makes `a` block diagonal.
+    Only exact zeros split; a row 0 without a zero entry settles a single
+    component after two NumPy calls. Permuting the indices component by
+    component makes `a` block diagonal, and each component is solved as
+    one block: a connected 2x2 matrix takes the closed form.
     """
     if np.count_nonzero(a[0]) == len(a):
-        return None
+        return [list(range(len(a)))]
     nonzero = (a != 0).tolist()
     seen = [False] * len(nonzero)
     components = []
@@ -85,7 +83,7 @@ def _components(a: np.ndarray) -> list[list[int]] | None:
                     seen[j] = True
                     component.append(j)
         components.append(sorted(component))
-    return components if len(components) > 1 else None
+    return components
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,6 +113,15 @@ def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
     return math.sqrt(np.sum(np.square(np.ldexp(m, -e)))), e
 
 
+def _times_pow2(x: float, e: int) -> float:
+    """x * 2**e, exact in range.
+
+    Formed as 2 * x * 2**(e-1) rather than math.ldexp(x, e): past the float
+    range this is inf, not an OverflowError.
+    """
+    return 2.0 * x * math.ldexp(1.0, e - 1)
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     """Square root of the sum of squared entry magnitudes.
 
@@ -122,9 +129,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     bits as the unscaled sum.
     """
     r, e = _scaled_norm(a)
-    # 2 * 2**(e-1) rather than math.ldexp(r, e): past the float range this is
-    # inf, not an OverflowError.
-    return 2.0 * r * math.ldexp(1.0, e - 1)
+    return _times_pow2(r, e)
 
 
 def det(a: np.ndarray) -> complex:
@@ -135,24 +140,17 @@ def det(a: np.ndarray) -> complex:
     when a pivot column vanishes. Valid for arbitrary (not necessarily
     Hermitian) square inputs; raises XsepError on a non-finite entry.
     """
-    m = np.array(a, dtype=complex)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
-        raise DimensionMismatch(f"determinant needs a square matrix, got {m.shape}")
-    _require_finite(m, "determinant input")
-    blocks = _components(m)
-    if blocks is None:
-        return _lu_det(m)
+    m = as_matrix(a, name="determinant input")
     rows = m.tolist()
     out = 1 + 0j
-    for idx in blocks:
+    for idx in _components(m):
         if len(idx) == 1:
             out *= rows[idx[0]][idx[0]]
         elif len(idx) == 2:
             i, j = idx
             out *= rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
         else:
-            out *= _lu_det(m[np.ix_(idx, idx)])
+            out *= _lu_det(m.take(idx, 0).take(idx, 1))
     return out
 
 
@@ -228,10 +226,7 @@ def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     r, s = _two_product(cr, cr)
     u, v = _two_product(ci, ci)
     det = math.fsum((p, q, -r, -s, -u, -v))
-    # Scaling back by 2 * 2**(e-1) rather than math.ldexp(x, e) turns an
-    # eigenvalue past the float range into inf instead of an OverflowError.
-    half_up = math.ldexp(1.0, e - 1)
-    big, other = 2.0 * big * half_up, 2.0 * (det / big) * half_up
+    big, other = _times_pow2(big, e), _times_pow2(det / big, e)
     return (big, other) if big >= other else (other, big)
 
 
@@ -296,8 +291,8 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
-def _scaled_jacobi(h: np.ndarray, idx: list[int] | None = None) -> list[float]:
-    """Jacobi eigenvalues of h, or of its block on `idx`, under JACOBI_RTOL * ||h||_F.
+def _scaled_jacobi(h: np.ndarray, idx: list[int]) -> list[float]:
+    """Jacobi eigenvalues of the block of h on `idx`, under JACOBI_RTOL * ||h||_F.
 
     Both run in `_scaled_norm`'s units, h times the power of two 2**-e that
     brings its largest entry near 1, so the threshold cannot underflow to 0
@@ -307,12 +302,8 @@ def _scaled_jacobi(h: np.ndarray, idx: list[int] | None = None) -> list[float]:
     r, e = _scaled_norm(h)
     # ldexp on the interleaved real and imaginary parts: 2**-e itself is out
     # of range when h is deep in the subnormals.
-    scaled = np.ldexp(np.ascontiguousarray(h).view(np.float64), -e).view(complex)
-    block = scaled if idx is None else scaled[np.ix_(idx, idx)]
-    w = _jacobi_spectrum(block, JACOBI_RTOL * r)
-    # 2 * 2**(e-1) rather than 2**e, as in `hermitian_2x2`.
-    half_up = math.ldexp(1.0, e - 1)
-    return [2.0 * x * half_up for x in w]
+    block = np.ldexp(h.take(idx, 0).take(idx, 1).view(np.float64), -e).view(complex)
+    return [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -324,25 +315,17 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     closed form, larger ones by Jacobi under the whole matrix's threshold
     JACOBI_RTOL * ||a||_F.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"eigensolver needs a square matrix, got {a.shape}")
-    _require_finite(a, "eigensolver input")
-    h = _require_hermitian(a, tol)
-    blocks = _components(h)
-    if blocks is None:
-        w = _scaled_jacobi(h)
-    else:
-        rows = h.tolist()
-        w = []
-        for idx in blocks:
-            if len(idx) == 1:
-                w.append(rows[idx[0]][idx[0]].real)
-            elif len(idx) == 2:
-                i, j = idx
-                w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
-            else:
-                w += _scaled_jacobi(h, idx)
+    h = _require_hermitian(as_matrix(a, name="eigensolver input"), tol)
+    rows = h.tolist()
+    w = []
+    for idx in _components(h):
+        if len(idx) == 1:
+            w.append(rows[idx[0]][idx[0]].real)
+        elif len(idx) == 2:
+            i, j = idx
+            w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
+        else:
+            w += _scaled_jacobi(h, idx)
     return np.sort(w)[::-1].copy()
 
 

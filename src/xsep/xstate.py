@@ -195,31 +195,23 @@ def product_state(params: XParams) -> XMatrix:
 
 
 # Closed forms on the entries of an X matrix: four diagonal floats and the
-# corner moduli |c14|, |c23|. Apart from `x_min_eigenvalue`, the moduli may be
-# NumPy arrays, and the result is then broadcast over them (the sweep
-# evaluates a whole lattice in one call); on Python floats the forms stay off
-# NumPy's per-call overhead.
+# corner moduli |c14|, |c23|. They take Python floats, which keeps them off
+# NumPy's per-call overhead; the sweep calls them once per distinct modulus.
+# Only `x_determinant`, plain arithmetic, also broadcasts over NumPy arrays.
 
 
 def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
     """Raise InvalidParams unless both 2x2 blocks are PSD up to a small slack.
 
-    The blocks are PSD iff d11*d44 >= |c14|^2 and d22*d33 >= |c23|^2; on
-    arrays every element must pass, and the first that fails is reported.
+    The blocks are PSD iff d11*d44 >= |c14|^2 and d22*d33 >= |c23|^2.
     """
     _check_block("outer block not PSD: d11*d44 < |c14|^2", d11 * d44, abs_c14 * abs_c14)
     _check_block("inner block not PSD: d22*d33 < |c23|^2", d22 * d33, abs_c23 * abs_c23)
 
 
-def _check_block(label: str, dd, sq) -> None:
-    bad = dd < sq - _PSD_SLACK
-    if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return
-        dd, sq = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in (dd, sq))
-    elif not bad:
-        return
-    raise InvalidParams(f"{label} ({dd} < {sq})")
+def _check_block(label: str, dd: float, sq: float) -> None:
+    if dd < sq - _PSD_SLACK:
+        raise InvalidParams(f"{label} ({dd} < {sq})")
 
 
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
@@ -243,8 +235,6 @@ def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
     """C = 2 max{0, |c23| - sqrt(d11*d44), |c14| - sqrt(d22*d33)} of a normalized X state."""
     inner = abs_c23 - math.sqrt(max(d11 * d44, 0.0))
     outer = abs_c14 - math.sqrt(max(d22 * d33, 0.0))
-    if isinstance(inner, np.ndarray) or isinstance(outer, np.ndarray):
-        return 2.0 * np.maximum(np.maximum(0.0, inner), outer)
     return 2.0 * max(0.0, inner, outer)
 
 

@@ -1,6 +1,6 @@
 """Differential tests of `xsep sweep`: the CSV against scalar references.
 
-The sweep evaluates its lattice in one NumPy pass. Its rows must equal,
+The sweep evaluates each distinct corner modulus once. Its rows must equal,
 byte for byte, the rows the scalar library functions give cell by cell,
 agree with `factor_report` on the dense factor pair, and hash to the
 sha256 recorded in `bench/golden_sweep.json`.
