@@ -56,9 +56,17 @@ def _text(value) -> str:
 
 
 def _emit(args, payload: dict, lines: list[str] | None = None) -> None:
-    """Print the payload as JSON, or as text: `lines`, else one `key: value` per entry."""
+    """Print the payload as JSON, or as text: `lines`, else one `key: value` per entry.
+
+    JSON has no NaN or infinity: a payload holding one raises XsepError
+    rather than print a bare `NaN`.
+    """
     if args.json:
-        print(json.dumps(payload, indent=2))
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            raise XsepError("output has a non-finite value, which JSON cannot carry") from None
+        print(text)
     else:
         if lines is None:
             lines = [f"{key}: {_text(value)}" for key, value in payload.items()]

@@ -251,13 +251,17 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
     tr = linalg.trace(rho)
     if abs(tr - 1.0) > tol:
         raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
-    lowest = linalg.min_eigenvalue(rho, tol)
+    # rho was checked above; neither spectrum checks again. The partial
+    # transpose of the symmetrised rho has the bits of the symmetrised partial
+    # transpose of rho, and rho's Hermiticity defect.
+    h = linalg._hermitian_part(rho)
+    lowest = float(linalg._hermitian_spectrum(h)[-1])
     if lowest < -tol:
         raise NotDensityMatrix(
             f"positivity check failed: smallest eigenvalue {lowest:.3e}",
             check="positivity",
         )
-    min_pt = linalg.min_eigenvalue(partial_transpose(rho, dims), tol)
+    min_pt = float(linalg._hermitian_spectrum(partial_transpose(h, dims))[-1])
     return DensityReport(tr.real, lowest, min_pt, min_pt >= -tol)
 
 
@@ -306,7 +310,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     theorem2 = _theorem2(p1_pt, p2_pt)
     conc = None
     if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= tol:
-        conc = xstate.concurrence(xstate.XMatrix.from_matrix(prod, tol), trace_tol=tol)
+        conc = xstate.concurrence(xstate.XMatrix._from_x_shaped(prod, tol), trace_tol=tol)
     return CriterionReport(
         gap_frobenius=gap_norm,
         gap_eigenvalues=gap_eigs,

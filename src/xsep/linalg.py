@@ -5,19 +5,26 @@ Everything operates on square complex numpy arrays of modest dimension
 determinants loop over the blocks of the zero pattern: a symmetric
 permutation of the indices makes the matrix block diagonal, one block per
 connected component (an X matrix is two 2x2 blocks, a connected matrix
-one block). 1x1 and 2x2 blocks are solved in closed form, exact to a few
-ulps (`hermitian_2x2`, the one 2x2 Hermitian form, which `xstate` uses
-too), so a connected 2x2 matrix takes the closed form as well; larger
-blocks go to cyclic Jacobi rotations (eigenvalues) or LU with partial
-pivoting (determinants). Jacobi runs on lists of Python complex, not NumPy
-rows: each rotation updates two columns, mirrors them into the two rows by
-conjugation, and keeps the diagonal as a list of floats. All of it is
-self-contained: results do not depend on the installed LAPACK.
+one block). The components are found on the matrix's row list, which the
+block loop reads anyway, as disjoint bitmasks of indices. 1x1 and 2x2
+blocks are solved in closed form, exact to a few ulps (`hermitian_2x2`,
+the one 2x2 Hermitian form, which `xstate` uses too), so a connected 2x2
+matrix takes the closed form as well; larger blocks go to cyclic Jacobi
+rotations (eigenvalues) or LU with partial pivoting (determinants), each
+on the block scaled by a power of two. Jacobi runs on lists of Python
+complex, not NumPy rows: each rotation updates two columns, mirrors them
+into the two rows by conjugation, and keeps the diagonal as a list of
+floats. A matrix is checked (finite, Hermitian within tol) once:
+`hermitian_eigenvalues` is the check followed by `_hermitian_spectrum`,
+which callers holding an already checked, symmetrised matrix may call
+directly. All of it is self-contained: results do not depend on the
+installed LAPACK.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -39,10 +46,10 @@ _SPLIT = 134217729.0
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and convert input to a square complex matrix.
 
-    Rejects non-square shapes and non-finite entries; always returns a
-    fresh complex128 array.
+    Rejects non-square shapes and non-finite entries. Returns a complex128
+    array: the input itself when it already is one, otherwise a new array.
     """
-    m = np.array(a, dtype=complex)
+    m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     where = nonfinite_entries(m)
@@ -59,31 +66,41 @@ def nonfinite_entries(a: np.ndarray) -> str:
     return ", ".join(f"({i},{j})" for i, j in np.argwhere(~finite).tolist())
 
 
-def _components(a: np.ndarray) -> list[list[int]]:
+def _components(rows: list[list[complex]]) -> list[list[int]]:
     """Connected components of the nonzero pattern of a | a.T, as sorted index lists.
 
-    Only exact zeros split; a row 0 without a zero entry settles a single
-    component after two NumPy calls. Permuting the indices component by
-    component makes `a` block diagonal, and each component is solved as
-    one block: a connected 2x2 matrix takes the closed form.
+    Takes the matrix as its row list (`a.tolist()`). Only exact zeros
+    split; a row 0 without a zero entry settles a single component at once.
+    Otherwise the components are bitmasks, bit j for index j, kept disjoint:
+    row i's mask, i and every j with a[i][j] != 0, absorbs each mask it
+    meets. An entry joins its row and column whichever side of the diagonal
+    it is on, which is the pattern of a | a.T. The components come out in
+    order of their smallest index. Permuting the indices component by
+    component makes `a` block diagonal, and each component is solved as one
+    block: a connected 2x2 matrix takes the closed form.
     """
-    if np.count_nonzero(a[0]) == len(a):
-        return [list(range(len(a)))]
-    nonzero = (a != 0).tolist()
-    seen = [False] * len(nonzero)
-    components = []
-    for start, done in enumerate(seen):
-        if done:
-            continue
-        seen[start] = True
-        component = [start]
-        for i in component:  # grows while walked: a breadth-first search
-            for j, edge in enumerate(nonzero[i]):
-                if (edge or nonzero[j][i]) and not seen[j]:
-                    seen[j] = True
-                    component.append(j)
-        components.append(sorted(component))
-    return components
+    n = len(rows)
+    if all(rows[0]):
+        return [list(range(n))]
+    bits = [1 << j for j in range(n)]
+    masks = []
+    for bit, row in zip(bits, rows):
+        joined = bit | sum(compress(bits, row))
+        apart = []
+        for mask in masks:
+            if mask & joined:
+                joined |= mask
+            else:
+                apart.append(mask)
+        apart.append(joined)
+        masks = apart
+    components = {}  # mask -> its indices; first seen, first listed
+    for j, bit in enumerate(bits):
+        for mask in masks:
+            if mask & bit:
+                components.setdefault(mask, []).append(j)
+                break
+    return list(components.values())
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,7 +127,7 @@ def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
     """
     m = np.abs(np.asarray(a))
     e = math.frexp(float(m.max(initial=0.0)))[1]
-    return math.sqrt(np.sum(np.square(np.ldexp(m, -e)))), e
+    return math.sqrt(np.square(np.ldexp(m, -e)).sum()), e
 
 
 def _times_pow2(x: float, e: int) -> float:
@@ -120,6 +137,15 @@ def _times_pow2(x: float, e: int) -> float:
     range this is inf, not an OverflowError.
     """
     return 2.0 * x * math.ldexp(1.0, e - 1)
+
+
+def _times_pow2_array(a: np.ndarray, e: int) -> np.ndarray:
+    """A contiguous complex array times 2**e, as a new array; exact in range.
+
+    ldexp acts on the interleaved real and imaginary parts: 2**e itself is
+    out of range when a is deep in the subnormals or near the float maximum.
+    """
+    return np.ldexp(a.view(np.float64), e).view(complex)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -143,7 +169,7 @@ def det(a: np.ndarray) -> complex:
     m = as_matrix(a, name="determinant input")
     rows = m.tolist()
     out = 1 + 0j
-    for idx in _components(m):
+    for idx in _components(rows):
         if len(idx) == 1:
             out *= rows[idx[0]][idx[0]]
         elif len(idx) == 2:
@@ -155,8 +181,18 @@ def det(a: np.ndarray) -> complex:
 
 
 def _lu_det(m: np.ndarray) -> complex:
-    """Determinant by LU with partial pivoting; overwrites m."""
+    """Determinant by LU with partial pivoting, on m scaled by a power of two.
+
+    The elimination runs on m times 2**-e, e the exponent of its largest
+    entry magnitude, so a pivot rounded into the subnormals cannot make a
+    multiplier overflow. The pivots are scaled back by 2**e before their
+    product is taken: both scalings are exact in range, so there the pivots
+    and the result have the bits of the unscaled run. Returns exactly 0
+    when a pivot column vanishes.
+    """
     n = m.shape[0]
+    e = math.frexp(float(np.abs(m).max()))[1]
+    m = _times_pow2_array(m, -e)
     sign = 1.0
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(m[k:, k])))
@@ -167,18 +203,28 @@ def _lu_det(m: np.ndarray) -> complex:
             sign = -sign
         m[k + 1:, k] /= m[k, k]
         m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
-    return complex(sign * np.prod(np.diag(m)))
+    return complex(sign * np.prod(_times_pow2_array(np.diag(m).copy(), e)))
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest |a[i,j] - conj(a[j,i])| and the entry pair achieving it."""
     a = np.asarray(a, dtype=complex)
     d = np.abs(a - a.conj().T)
-    i, j = divmod(int(np.argmax(d)), d.shape[1])
+    i, j = divmod(int(d.argmax()), len(d))
     return float(d[i, j]), (i, j)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H) / 2, exactly Hermitian.
+
+    Each term is halved before the sum, so entries near the float maximum
+    do not overflow.
+    """
+    return 0.5 * a + 0.5 * a.conj().T
+
+
 def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+    """`_hermitian_part(a)`, after raising NotHermitian if the defect exceeds tol."""
     defect, (i, j) = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitian(
@@ -186,21 +232,7 @@ def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
             f"{defect:.3e} (tol {tol:.3e})",
             pair=(i, j),
         )
-    # Symmetrize roundoff so the eigensolver sees an exactly Hermitian matrix;
-    # halving first keeps entries near the float maximum from overflowing.
-    return 0.5 * a + 0.5 * a.conj().T
-
-
-def _two_product(x: float, y: float) -> tuple[float, float]:
-    """x*y as the unevaluated sum p + e of two floats, exactly (Dekker 1971)."""
-    p = x * y
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    return _hermitian_part(a)
 
 
 def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
@@ -222,9 +254,26 @@ def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     cr, ci = math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
     mean = 0.5 * (a + b)
     big = mean + math.copysign(math.hypot(0.5 * (a - b), cr, ci), mean)
-    p, q = _two_product(a, b)
-    r, s = _two_product(cr, cr)
-    u, v = _two_product(ci, ci)
+    # Dekker's exact products (1971): x*y = p + (its rounding error), from
+    # the halves xh + xl = x that _SPLIT cuts. a*b, cr^2 and ci^2 in turn.
+    p = a * b
+    t = _SPLIT * a
+    xh = t - (t - a)
+    xl = a - xh
+    t = _SPLIT * b
+    yh = t - (t - b)
+    yl = b - yh
+    q = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    r = cr * cr
+    t = _SPLIT * cr
+    xh = t - (t - cr)
+    xl = cr - xh
+    s = ((xh * xh - r) + xh * xl + xl * xh) + xl * xl
+    u = ci * ci
+    t = _SPLIT * ci
+    xh = t - (t - ci)
+    xl = ci - xh
+    v = ((xh * xh - u) + xh * xl + xl * xh) + xl * xl
     det = math.fsum((p, q, -r, -s, -u, -v))
     big, other = _times_pow2(big, e), _times_pow2(det / big, e)
     return (big, other) if big >= other else (other, big)
@@ -300,9 +349,7 @@ def _scaled_jacobi(h: np.ndarray, idx: list[int]) -> list[float]:
     bits of the unscaled run.
     """
     r, e = _scaled_norm(h)
-    # ldexp on the interleaved real and imaginary parts: 2**-e itself is out
-    # of range when h is deep in the subnormals.
-    block = np.ldexp(h.take(idx, 0).take(idx, 1).view(np.float64), -e).view(complex)
+    block = _times_pow2_array(h.take(idx, 0).take(idx, 1), -e)
     return [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
 
 
@@ -315,10 +362,14 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     closed form, larger ones by Jacobi under the whole matrix's threshold
     JACOBI_RTOL * ||a||_F.
     """
-    h = _require_hermitian(as_matrix(a, name="eigensolver input"), tol)
+    return _hermitian_spectrum(_require_hermitian(as_matrix(a, name="eigensolver input"), tol))
+
+
+def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
+    """`hermitian_eigenvalues` of a finite, exactly Hermitian h, which is not checked."""
     rows = h.tolist()
     w = []
-    for idx in _components(h):
+    for idx in _components(rows):
         if len(idx) == 1:
             w.append(rows[idx[0]][idx[0]].real)
         elif len(idx) == 2:

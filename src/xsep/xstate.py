@@ -17,6 +17,7 @@ for 2x2 Hermitian blocks: an X matrix is two such blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -143,6 +144,11 @@ class XMatrix:
             raise InvalidParams(f"an X matrix is 4x4, got shape {a.shape}")
         if not is_x_shaped(a, tol):
             raise InvalidParams("matrix is not X shaped within tolerance")
+        return cls._from_x_shaped(a, tol)
+
+    @classmethod
+    def _from_x_shaped(cls, a: np.ndarray, tol: float) -> "XMatrix":
+        """`from_matrix` on a complex 4x4 array already found X shaped within tol."""
         defect, _ = linalg.hermiticity_defect(a)
         if defect > tol:
             raise InvalidParams(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
@@ -157,12 +163,18 @@ def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    n = a.shape[0]
+    return bool((np.abs(a[_off_x_mask(a.shape[0])]) <= tol).all())
+
+
+@functools.lru_cache(maxsize=16)
+def _off_x_mask(n: int) -> np.ndarray:
+    """Read-only boolean mask of the entries of an n x n matrix off its diagonal and antidiagonal."""
     mask = np.ones((n, n), dtype=bool)
     idx = np.arange(n)
     mask[idx, idx] = False
     mask[idx, n - 1 - idx] = False
-    return bool(np.all(np.abs(a[mask]) <= tol))
+    mask.flags.writeable = False
+    return mask
 
 
 def build_factors(params: XParams) -> FactorPair:
@@ -170,9 +182,9 @@ def build_factors(params: XParams) -> FactorPair:
     p1 = np.diag(np.array([params.t1, params.t2, params.t3, params.t4], dtype=complex))
     p2 = np.eye(4, dtype=complex)
     p2[0, 3] = params.v1
-    p2[3, 0] = np.conj(params.v1)
+    p2[3, 0] = params.v1.conjugate()
     p2[1, 2] = params.v2
-    p2[2, 1] = np.conj(params.v2)
+    p2[2, 1] = params.v2.conjugate()
     return FactorPair(p1=p1, p2=p2)
 
 

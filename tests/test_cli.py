@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from xsep import criteria, linalg, matfile
-from xsep.cli import build_parser, main
+from xsep.cli import _emit, build_parser, main
+from xsep.errors import XsepError
 
 from conftest import random_complex
 
@@ -297,6 +298,22 @@ class TestCounterexample:
         report = json.loads(capsys.readouterr().out)
         assert report["gap_frobenius"] > 1e-3
         assert report["separable"] is True
+
+
+class TestJsonGuard:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, [0.5, -math.inf]])
+    def test_emit_rejects_a_non_finite_value(self, value, capsys):
+        args = build_parser().parse_args(["counterexample", "--json"])
+        with pytest.raises(XsepError, match="non-finite"):
+            _emit(args, {"trace": 1.0, "value": value})
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_payload_exits_3_with_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "frobenius_norm", lambda a: math.nan)
+        assert main(["counterexample", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSelftest:

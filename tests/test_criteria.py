@@ -17,9 +17,13 @@ from xsep.errors import (
 )
 from xsep.xstate import XParams
 
-from conftest import random_hermitian, random_unit_disc
+from conftest import random_complex, random_hermitian, random_unit_disc
 
 DIMS22 = (2, 2)
+
+
+def same_bits(x, y):
+    return np.array([x]).tobytes() == np.array([y]).tobytes()
 
 
 def family_pair(t1, t2, v1, v2):
@@ -293,6 +297,42 @@ class TestValidateDensity:
             criteria.validate_density(bad, DIMS22)
         assert err.value.check == "hermiticity"
 
+    @pytest.mark.parametrize("diagonal, entry, check, message", [
+        ((1, 1, 1, 1), ((1, 2), math.nan), "finiteness",
+         "finiteness check failed: non-finite entries at (1,2)"),
+        ((1, 1, 1, 1), ((0, 1), 0.2), "hermiticity",
+         "hermiticity check failed: entries (0,1)/(1,0) differ by 2.000e-01"),
+        ((4, 2, 2, 4), None, "trace", "trace check failed: trace is (3+0j)"),
+        ((4, 0.5, 0.5, -1), None, "positivity",
+         "positivity check failed: smallest eigenvalue -2.500e-01"),
+    ])
+    def test_each_failed_check_names_itself(self, diagonal, entry, check, message):
+        rho = np.diag(np.array(diagonal, dtype=complex)) / 4.0
+        if entry is not None:
+            rho[entry[0]] = entry[1]
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(rho, DIMS22)
+        assert err.value.check == check
+        assert str(err.value) == message
+
+    def test_spectra_have_the_bits_of_the_checked_eigensolver(self, rng):
+        # rho is checked once, then its symmetrised copy and that copy's
+        # partial transpose are solved unchecked: the same bits as solving
+        # rho and its partial transpose through the public, checking calls.
+        for k in range(200):
+            dims = ((2, 2), (2, 3), (3, 3))[k % 3]
+            n = dims[0] * dims[1]
+            g = random_complex(rng, n)
+            if k % 2:
+                g *= rng.random((n, n)) < 0.3  # a zero pattern: several blocks
+            rho = g @ g.conj().T + np.eye(n)
+            rho /= np.trace(rho).real
+            rho += 1e-12 * random_complex(rng, n)  # not Hermitian, but within tol
+            report = criteria.validate_density(rho, dims)
+            assert same_bits(report.min_eigenvalue, linalg.min_eigenvalue(rho))
+            assert same_bits(report.min_pt_eigenvalue,
+                             linalg.min_eigenvalue(partial_transpose(rho, dims)))
+
     @pytest.mark.parametrize("where", [(1, 2), (2, 7)], ids=["in-2x2-block", "dense"])
     def test_non_finite_fails_before_hermiticity(self, rng, where):
         # one NaN also breaks Hermiticity, but finiteness is reported first
@@ -409,6 +449,33 @@ class TestSharedEvaluation:
         pair = family_pair(0.25, 0.25, 0.6, 0.3j)
         check(pair.p1, pair.p2)
         assert counts == {"mul": 2, "partial_transpose": 3}
+
+    def test_ppt_verdict_checks_hermiticity_of_rho_once(self, monkeypatch):
+        seen = []
+        defect = linalg.hermiticity_defect
+
+        def counted_defect(a):
+            seen.append(np.array(a))
+            return defect(a)
+
+        monkeypatch.setattr(linalg, "hermiticity_defect", counted_defect)
+        pair = family_pair(0.25, 0.25, 0.6, 0.3j)
+        rho = linalg.mul(pair.p1, pair.p2)
+        assert criteria.ppt_verdict(rho, DIMS22)
+        assert len(seen) == 1 and np.array_equal(seen[0], rho)
+
+    def test_factor_report_tests_the_x_shape_once(self, monkeypatch):
+        calls = []
+        is_x_shaped = xstate.is_x_shaped
+
+        def counted_is_x_shaped(a, tol=linalg.DEFAULT_TOL):
+            calls.append(tol)
+            return is_x_shaped(a, tol)
+
+        monkeypatch.setattr(xstate, "is_x_shaped", counted_is_x_shaped)
+        pair = family_pair(0.25, 0.25, 0.6, 0.3j)
+        assert criteria.factor_report(pair.p1, pair.p2).concurrence == 0.0
+        assert calls == [linalg.DEFAULT_TOL]
 
     def test_report_has_the_bits_of_the_single_criteria(self, rng):
         pairs = [(family_pair(0.25, 0.25, random_unit_disc(rng), random_unit_disc(rng)), True)

@@ -131,6 +131,15 @@ class TestDet:
                 1.0, abs(np.linalg.det(a))
             )
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-300, 1e-320, 2.0 ** -1000, 2.0 ** 1000])
+    def test_singular_block_is_zero_at_tiny_scales(self, scale):
+        # Rows 1 and 2 are parallel. Unscaled, at 1e-300 a pivot rounded into
+        # the subnormals made a multiplier overflow, giving nan+nanj.
+        m = np.array([[4, 3, 2, 1], [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, -4]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.det(m) == 0j
+
 
 class TestFrobenius:
     def test_identity(self):
@@ -260,7 +269,7 @@ class TestDenseJacobi:
 
     @staticmethod
     def assert_close(h, ref, tol):
-        assert len(linalg._components(h)) == 1
+        assert len(linalg._components(h.tolist())) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = linalg.hermitian_eigenvalues(h)
@@ -393,7 +402,7 @@ class TestBlockSplit:
     def test_spectrum_matches_numpy(self, case):
         m, orders = case
         # no block has order n, so the split always finds the planted blocks
-        assert sorted(map(len, linalg._components(m))) == sorted(orders)
+        assert sorted(map(len, linalg._components(m.tolist()))) == sorted(orders)
         w = linalg.hermitian_eigenvalues(m)
         ref = np.sort(np.linalg.eigvalsh(m))[::-1]
         assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.norm(m)
@@ -408,9 +417,63 @@ class TestBlockSplit:
     def test_connected_pattern_is_one_component(self, rng):
         m = random_hermitian(rng, 9)
         m[3, 5] = m[5, 3] = 0.0
-        assert linalg._components(m) == [list(range(9))]
+        assert linalg._components(m.tolist()) == [list(range(9))]
         m[0, 4] = m[4, 0] = 0.0
-        assert linalg._components(m) == [list(range(9))]  # still connected through other entries
+        assert linalg._components(m.tolist()) == [list(range(9))]  # still connected through other entries
+
+    @staticmethod
+    def breadth_first_components(a):
+        """Components of the pattern of a | a.T by breadth-first search, in order of smallest index."""
+        nonzero = (a != 0).tolist()
+        n = len(nonzero)
+        seen = [False] * n
+        components = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            component = [start]
+            for i in component:  # grows while walked
+                for j in range(n):
+                    if (nonzero[i][j] or nonzero[j][i]) and not seen[j]:
+                        seen[j] = True
+                        component.append(j)
+            components.append(sorted(component))
+        return components
+
+    @staticmethod
+    def random_patterns(rng):
+        """(matrix, Hermitian?) with random zero patterns, n = 1..16, sparse to dense."""
+        for n in range(1, 17):
+            for density in (0.05, 0.15, 0.3, 0.6):
+                for _ in range(6):
+                    pattern = rng.random((n, n)) < density
+                    yield random_complex(rng, n) * pattern, False
+                    pattern |= pattern.T
+                    yield random_hermitian(rng, n) * pattern, True
+
+    def test_components_match_breadth_first_search(self, rng):
+        for m, _ in self.random_patterns(rng):
+            assert linalg._components(m.tolist()) == self.breadth_first_components(m)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_connected_is_one_component(self, rng, n):
+        m = random_complex(rng, n)
+        assert linalg._components(m.tolist()) == [list(range(n))]
+        if n > 2:
+            m[0, 1] = 0.0  # row 0 now has a zero; the rest still connects index 1
+            assert linalg._components(m.tolist()) == [list(range(n))]
+
+    def test_spectra_and_determinants_have_the_bits_of_the_search(self, rng, monkeypatch):
+        cases = list(self.random_patterns(rng))
+        got = [(linalg.det(m), linalg.hermitian_eigenvalues(m) if herm else None)
+               for m, herm in cases]
+        monkeypatch.setattr(linalg, "_components",
+                            lambda rows: self.breadth_first_components(np.array(rows)))
+        for (m, herm), (d, w) in zip(cases, got):
+            assert np.array([d]).tobytes() == np.array([linalg.det(m)]).tobytes()
+            if herm:
+                assert w.tobytes() == linalg.hermitian_eigenvalues(m).tobytes()
 
 
 def x_block_cases(rng):
