@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import criteria, linalg, matfile, selftest, xstate
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import DimensionMismatch, InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
@@ -178,7 +176,8 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     P2 (or the t1-scaled literal form); the concurrence and minimum
     partial-transpose eigenvalue are those of the trace-normalized
     product, which is the same state for every t1. The lattice is
-    evaluated with the closed forms of `xstate` and `criteria`.
+    evaluated per axis on Python scalars, with the closed forms of
+    `xstate` and `criteria`.
     """
     try:
         d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
@@ -192,47 +191,41 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
         raise InvalidParams(f"t1 = {t1!r} overflows the left side 81 D^3 + 512 D")
     rhs = criteria.THEOREM2_RHS
 
-    # The CSV bytes are those of the scalar formulas, cell by cell. Three
-    # NumPy traps break that: `np.abs` of a complex array rounds unlike
-    # `abs()` on a third of inputs (`np.hypot` agrees); through it the min-PT
-    # column at |v| = 1 reads 2.8e-17, not 0; and `np.power(x, 3)` differs
-    # from `x ** 3` on 5 % of floats, so the left side stays on Python floats.
-    v_abs = np.arange(grid) * (1.0 / (grid - 1))
+    step = 1.0 / (grid - 1)
+    v_abs = [i * step for i in range(grid)]
     # Moduli of the corners v/4 of the normalized product, v1 down the
     # rows and v2 along the columns: |v e^{i phase} / 4|.
-    m1 = np.hypot(v_abs * math.cos(phase1) / 4.0, v_abs * math.sin(phase1) / 4.0).tolist()
-    m2 = np.hypot(v_abs * math.cos(phase2) / 4.0, v_abs * math.sin(phase2) / 4.0).tolist()
+    moduli = [[abs(complex(v * c / 4.0, v * s / 4.0)) for v in v_abs]
+              for c, s in ((math.cos(ph), math.sin(ph)) for ph in (phase1, phase2))]
     # Every cell has diagonal 1/4, so its concurrence is the larger, and its
     # minimum partial-transpose eigenvalue (partial transposition swaps the
     # corners) the smaller, of one term per corner modulus.
-    conc_of, low_of = {}, {}
-    for m in {*m1, *m2}:
+    terms = {}
+    for m in {*moduli[0], *moduli[1]}:
         xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m, m)
-        conc_of[m] = xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0)
-        low_of[m] = linalg.hermitian_2x2(0.25, 0.25, m)[1]
-    conc = np.maximum(np.array([conc_of[m] for m in m1])[:, None],
-                      np.array([conc_of[m] for m in m2])[None, :])
-    min_pt = np.minimum(np.array([low_of[m] for m in m1])[:, None],
-                        np.array([low_of[m] for m in m2])[None, :])
-    # det of the unit-diagonal X factor after partial transposition
-    d2 = xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v_abs[None, :], v_abs[:, None])
-    prod = d1 * d2
+        terms[m] = (xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
+                    linalg.hermitian_2x2(0.25, 0.25, m)[1])
+    rendered = {x: fmt(x) for x in {x for pair in terms.values() for x in pair}}
+    # One tuple per |v| and axis: its text, its factor of det(P2^G) =
+    # (1 - |v1|^2)(1 - |v2|^2), and its two terms with their text.
+    v_axis = [(fmt(v), xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v, 0.0)) for v in v_abs]
+    row_axis, col_axis = ([(*vf, c, rendered[c], low, rendered[low])
+                           for vf, (c, low) in zip(v_axis, map(terms.get, ms))] for ms in moduli)
 
-    # The lattice is symmetric in |v1|, |v2|, and the last two columns take
-    # at most 2*grid values: evaluate and render each distinct value once.
+    # The sides of each distinct product are evaluated and rendered once.
     rhs_text = fmt(rhs)
-    inequality = {}
-    for p in set(prod.ravel().tolist()):
-        lhs = criteria.theorem2_lhs(p)
-        inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
-    rendered = {x: fmt(x) for x in {*conc_of.values(), *low_of.values()}}
-    v_text = [fmt(v) for v in v_abs.tolist()]
-    rows = []
-    for i, a in enumerate(v_text):
-        rows += [
-            f"{a},{b},{inequality[p]},{rendered[c]},{rendered[m]}"
-            for b, p, c, m in zip(v_text, prod[i].tolist(), conc[i].tolist(), min_pt[i].tolist())
-        ]
+    inequality, rows = {}, []
+    for a, f_row, c_row, ct_row, l_row, lt_row in row_axis:
+        for b, f_col, c_col, ct_col, l_col, lt_col in col_axis:
+            p = d1 * (f_col * f_row)
+            sides = inequality.get(p)
+            if sides is None:
+                lhs = criteria.theorem2_lhs(p)
+                sides = inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
+            rows.append(
+                f"{a},{b},{sides},{ct_row if c_row >= c_col else ct_col},"
+                f"{lt_row if l_row <= l_col else lt_col}"
+            )
     return rows
 
 
@@ -291,8 +284,8 @@ def _add_factor_params(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_tol_json(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=1e-10,
-                     help="tolerance for Hermiticity/PSD decisions (default 1e-10)")
+    sub.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL,
+                     help="tolerance for Hermiticity/PSD decisions (default %(default)s)")
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 

@@ -138,11 +138,7 @@ def det_inequality_sides(p1: np.ndarray, p2: np.ndarray, dims) -> tuple[float, f
 
 
 def theorem2_lhs(prod: float) -> float:
-    """Left side 81 D^3 + 512 D of the two-qubit inequality, D = D1 D2.
-
-    Takes a Python float: NumPy's elementwise power rounds differently
-    from `**` on floats, so array callers apply this per element.
-    """
+    """Left side 81 D^3 + 512 D of the two-qubit inequality, D = D1 D2, of a Python float."""
     return 81.0 * prod ** 3 + 512.0 * prod
 
 

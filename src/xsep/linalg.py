@@ -168,16 +168,26 @@ def det(a: np.ndarray) -> complex:
     """
     m = as_matrix(a, name="determinant input")
     rows = m.tolist()
-    out = 1 + 0j
+    dets = []
     for idx in _components(rows):
         if len(idx) == 1:
-            out *= rows[idx[0]][idx[0]]
+            dets.append(rows[idx[0]][idx[0]])
         elif len(idx) == 2:
             i, j = idx
-            out *= rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
+            dets.append(rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i])
         else:
-            out *= _lu_det(m.take(idx, 0).take(idx, 1))
-    return out
+            dets.append(_lu_det(m.take(idx, 0).take(idx, 1)))
+    return _product(dets)
+
+
+def _product(factors: list[complex]) -> complex:
+    """The factors' product, left to right; of their real parts alone if all are real.
+
+    A complex product's cross terms would turn 0 * inf into a NaN imaginary part.
+    """
+    if all(f.imag == 0 for f in factors):
+        return complex(math.prod(f.real for f in factors))
+    return math.prod(factors, start=1 + 0j)
 
 
 def _lu_det(m: np.ndarray) -> complex:
@@ -203,7 +213,9 @@ def _lu_det(m: np.ndarray) -> complex:
             sign = -sign
         m[k + 1:, k] /= m[k, k]
         m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
-    return complex(sign * np.prod(_times_pow2_array(np.diag(m).copy(), e)))
+    # The sign is one of the factors: a float times a complex is a complex product.
+    pivots = [complex(_times_pow2(z.real, e), _times_pow2(z.imag, e)) for z in np.diag(m).tolist()]
+    return _product([sign, *pivots])
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:

@@ -209,7 +209,6 @@ def product_state(params: XParams) -> XMatrix:
 # Closed forms on the entries of an X matrix: four diagonal floats and the
 # corner moduli |c14|, |c23|. They take Python floats, which keeps them off
 # NumPy's per-call overhead; the sweep calls them once per distinct modulus.
-# Only `x_determinant`, plain arithmetic, also broadcasts over NumPy arrays.
 
 
 def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
@@ -238,7 +237,7 @@ def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
     return min(outer, inner)
 
 
-def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23):
+def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
     """Determinant of an X matrix: (d11*d44 - |c14|^2) (d22*d33 - |c23|^2)."""
     return (d11 * d44 - abs_c14 * abs_c14) * (d22 * d33 - abs_c23 * abs_c23)
 

@@ -140,6 +140,30 @@ class TestDet:
             warnings.simplefilter("error")
             assert linalg.det(m) == 0j
 
+    @pytest.mark.parametrize("m, want", [
+        # three 1x1 blocks; one LU block; one 2x2 block; two 2x2 blocks; four 1x1 blocks
+        (np.diag([1e200, 1e200, 1.0]), math.inf),
+        (np.array([[4, 3, 2, 1], [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, -4]]) * 1e300, math.inf),
+        (np.array([[1e200, 1.0], [1.0, 1e200]]), math.inf),
+        (np.kron(np.eye(2), [[1e200, 1.0], [1.0, 1e200]]), math.inf),
+        (np.diag([1e300, 1e300, 1e300, -1.0]), -math.inf),
+    ])
+    def test_real_matrix_past_the_float_range_has_zero_imaginary_part(self, m, want):
+        # A complex product of real factors turns 0 * inf into a NaN
+        # imaginary part once it overflows.
+        d = linalg.det(m)
+        assert d.real == want
+        assert d.imag == 0
+
+    def test_real_factors_keep_the_bits_of_the_complex_product(self, rng):
+        for n in range(1, 17):
+            factors = [complex(x) for x in rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)]
+            want = 1 + 0j
+            for f in factors:
+                want *= f
+            got = linalg._product(factors)
+            assert got.real.hex() == want.real.hex() and got.imag == 0
+
 
 class TestFrobenius:
     def test_identity(self):

@@ -22,10 +22,13 @@ from xsep.xstate import XMatrix, XParams
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "golden_sweep.json"
 HEADER = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig"
 
-# t1 > 1 is where NumPy's elementwise power and `**` on floats disagree.
+# t1 > 1 puts cells on both sides of the inequality, with left sides from 0
+# to far past the right side 2^11/9.
 T1S = (0.25, 1.09, 1.38)
 GRIDS = (2, 7, 33)
-PHASES = ((0.0, 0.0), (0.7, 2.5))
+# Large and negative phases check the corner moduli |v e^{i phase} / 4|: at
+# phase -6.9 the modulus of a unit corner rounds below 1/4.
+PHASES = ((0.0, 0.0), (0.7, 2.5), (-6.9, 41.3))
 
 
 def reference_rows(t1, grid, literal, phase1, phase2):

@@ -206,25 +206,26 @@ class TestOneClosedForm:
         assert linalg.hermitian_2x2(-0.2, -0.3, 0j) == (-0.2, -0.3)
 
 
-class TestArrayForms:
-    """The closed forms equal the library calls; `x_determinant` also broadcasts over arrays."""
+class TestScalarForms:
+    """The closed forms take and return Python floats and equal the library calls."""
 
     def test_determinant(self, rng):
         for _ in range(20):
             diag = rng.random(4).tolist()
-            m14 = rng.random(50) * np.sqrt(diag[0] * diag[3])
-            m23 = rng.random(50) * np.sqrt(diag[1] * diag[2])
-            dets = xstate.x_determinant(*diag, m14, m23)
-            for k in range(50):
-                x = XMatrix(*diag, c14=m14[k], c23=m23[k])
-                assert abs(dets[k] - linalg.det(x.matrix()).real) < 1e-14
+            m14s = (rng.random(50) * math.sqrt(diag[0] * diag[3])).tolist()
+            m23s = (rng.random(50) * math.sqrt(diag[1] * diag[2])).tolist()
+            for m14, m23 in zip(m14s, m23s):
+                det = xstate.x_determinant(*diag, m14, m23)
+                assert type(det) is float
+                x = XMatrix(*diag, c14=m14, c23=m23)
+                assert abs(det - linalg.det(x.matrix()).real) < 1e-14
 
     def test_scalar_inputs_stay_python_floats(self):
         x = XMatrix(0.3, 0.2, 0.2, 0.3, c14=0.1, c23=0.05j)
         assert type(xstate.concurrence(x)) is float
         assert type(xstate.x_min_eigenvalue(0.3, 0.2, 0.2, 0.3, 0.1, 0.05)) is float
 
-    def test_block_check_on_arrays(self):
+    def test_block_check(self):
         for m14 in (0.0, 0.1, 0.25):
             xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m14, 0.25 - m14)
         with pytest.raises(InvalidParams, match=r"inner block.*\(0\.0625 < 0\.09"):
