@@ -12,8 +12,8 @@ the one 2x2 Hermitian form, which `xstate` uses too), so a connected 2x2
 matrix takes the closed form as well; larger blocks go to cyclic Jacobi
 rotations (eigenvalues) or LU with partial pivoting (determinants), each
 on the block scaled by a power of two. Jacobi runs on lists of Python
-complex, not NumPy rows: each rotation updates two columns, mirrors them
-into the two rows by conjugation, and keeps the diagonal as a list of
+complex, not NumPy rows: it rotates the strict upper triangle alone, never
+reading or writing below the diagonal, and keeps the diagonal as a list of
 floats. A matrix is checked (finite, Hermitian within tol) once:
 `hermitian_eigenvalues` is the check followed by `_hermitian_spectrum`,
 which callers holding an already checked, symmetrised matrix may call
@@ -23,6 +23,7 @@ installed LAPACK.
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import compress
 
@@ -161,10 +162,11 @@ def frobenius_norm(a: np.ndarray) -> float:
 def det(a: np.ndarray) -> complex:
     """Determinant, the product of those of the blocks of the zero pattern.
 
-    A 1x1 block contributes its entry, a 2x2 block ad - bc, a larger one
-    its LU decomposition with partial pivoting, which returns exactly 0
-    when a pivot column vanishes. Valid for arbitrary (not necessarily
-    Hermitian) square inputs; raises XsepError on a non-finite entry.
+    A 1x1 block contributes its entry, a 2x2 block ad - bc (`_det_2x2`), a
+    larger one its LU decomposition with partial pivoting, which returns
+    exactly 0 when a pivot column vanishes. Valid for arbitrary (not
+    necessarily Hermitian) square inputs; raises XsepError on a non-finite
+    entry.
     """
     m = as_matrix(a, name="determinant input")
     rows = m.tolist()
@@ -174,10 +176,30 @@ def det(a: np.ndarray) -> complex:
             dets.append(rows[idx[0]][idx[0]])
         elif len(idx) == 2:
             i, j = idx
-            dets.append(rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i])
+            dets.append(_det_2x2(rows[i][i], rows[i][j], rows[j][i], rows[j][j]))
         else:
             dets.append(_lu_det(m.take(idx, 0).take(idx, 1)))
     return _product(dets)
+
+
+def _det_2x2(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """ad - bc, formed again on the block scaled by a power of two if it overflows.
+
+    Both products can overflow while the determinant is in range, and
+    inf - inf is NaN. A finite ad - bc overflowed nowhere and is returned as
+    it is. Otherwise the entries are scaled by 2**-e, e the exponent of the
+    largest real or imaginary part, as in `_lu_det`, and the result back by
+    2**e twice, since 2**(2e) may be past the float range. Scaling every
+    block would flush to zero an entry more than 2**1074 below the largest,
+    whose product with another entry may well be in range.
+    """
+    z = a * d - b * c
+    if cmath.isfinite(z):
+        return z
+    e = math.frexp(max(abs(x) for w in (a, b, c, d) for x in (w.real, w.imag)))[1]
+    a, b, c, d = (complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in (a, b, c, d))
+    z = a * d - b * c
+    return complex(_times_pow2(_times_pow2(z.real, e), e), _times_pow2(_times_pow2(z.imag, e), e))
 
 
 def _product(factors: list[complex]) -> complex:
@@ -296,11 +318,11 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
 
     Sweeps stop once every off-diagonal magnitude is at most `thresh`. The
     work runs on lists of Python complex, where a rotation of a matrix of
-    order <= 16 costs less than the NumPy calls that would make it. Each
-    rotation updates the entries of columns p and q outside rows p and q,
-    and mirrors them into rows p and q by conjugation, which keeps the
-    matrix exactly Hermitian. The diagonal is a list of floats, updated
-    from the rotation alone (Rutishauser's form).
+    order <= 16 costs less than the NumPy calls that would make it. Only
+    the strict upper triangle of h is read and rotated: an entry below the
+    diagonal is never needed, as it is the conjugate of its mirror. The
+    diagonal is a list of floats, updated from the rotation alone
+    (Rutishauser's form).
     """
     a = h.tolist()
     n = len(a)
@@ -311,6 +333,7 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
         rotated = False
         for p in range(n - 1):
             row_p = a[p]
+            above = a[:p]
             for q in range(p + 1, n):
                 apq = row_p[q]
                 b = abs(apq)
@@ -328,23 +351,34 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 # Unitary V: V[p,p]=V[q,q]=c, V[p,q]=s*phase, V[q,p]=-s*conj(phase);
-                # a <- V^dagger a V changes only rows and columns p and q.
+                # a <- V^dagger a V changes only rows and columns p and q. Entry
+                # (k, p) for k > p is read and written as the conjugate of (p, k).
+                # IEEE complex products satisfy conj(z*w) == conj(z)*conj(w), so
+                # each entry has the bits it would have in the full matrix, up to
+                # the sign of a zero imaginary part, which never reaches |a_pq|.
                 s_phase = s * phase
                 s_conj = s_phase.conjugate()
+                # Up to CPython 3.13, float * complex promotes the float to
+                # complex(c, 0.0) on every call; promoting once keeps the bits.
+                c = complex(c)
                 row_q = a[q]
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    row_k = a[k]
+                for row_k in above:
                     akp = row_k[p]
                     akq = row_k[q]
-                    x = c * akp - s_conj * akq
-                    y = s_phase * akp + c * akq
-                    row_k[p] = x
-                    row_k[q] = y
-                    row_p[k] = x.conjugate()
-                    row_q[k] = y.conjugate()
-                row_p[q] = row_q[p] = 0j
+                    row_k[p] = c * akp - s_conj * akq
+                    row_k[q] = s_phase * akp + c * akq
+                for k in range(p + 1, q):
+                    row_k = a[k]
+                    apk = row_p[k]
+                    akq = row_k[q]
+                    row_p[k] = c * apk - s_phase * akq.conjugate()
+                    row_k[q] = s_phase * apk.conjugate() + c * akq
+                for k in range(q + 1, n):
+                    apk = row_p[k]
+                    aqk = row_q[k]
+                    row_p[k] = c * apk - s_phase * aqk
+                    row_q[k] = s_conj * apk + c * aqk
+                row_p[q] = 0j
                 d[p] = alpha - t * b
                 d[q] = gamma + t * b
         if not rotated:

@@ -30,12 +30,11 @@ def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -
         dims = BipartiteDims.of(dims)
         lines.append(f'  "dims": [{dims.m}, {dims.n}],')
     lines.append('  "entries": [')
-    for i in range(d):
-        row = ", ".join(
-            f"[{json.dumps(a[i, j].real)}, {json.dumps(a[i, j].imag)}]" for j in range(d)
-        )
-        comma = "," if i < d - 1 else ""
-        lines.append(f"    [{row}]{comma}")
+    # One json.dumps per row: its C encoder writes each float as float.__repr__
+    # (Infinity and NaN past the finite range), with ", " between items.
+    lines.append(",\n".join(
+        "    " + json.dumps([[z.real, z.imag] for z in row]) for row in a.tolist()
+    ))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"

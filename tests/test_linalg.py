@@ -147,6 +147,7 @@ class TestDet:
         (np.array([[1e200, 1.0], [1.0, 1e200]]), math.inf),
         (np.kron(np.eye(2), [[1e200, 1.0], [1.0, 1e200]]), math.inf),
         (np.diag([1e300, 1e300, 1e300, -1.0]), -math.inf),
+        (np.array([[3e200, 1e200], [1e200, 1e200]]), math.inf),
     ])
     def test_real_matrix_past_the_float_range_has_zero_imaginary_part(self, m, want):
         # A complex product of real factors turns 0 * inf into a NaN
@@ -154,6 +155,34 @@ class TestDet:
         d = linalg.det(m)
         assert d.real == want
         assert d.imag == 0
+
+    @staticmethod
+    def near_singular_blocks(rng):
+        """Random complex 2x2 blocks whose ad and bc agree to about 1e-6 relative."""
+        for _ in range(50):
+            a, b, c = (complex(*rng.standard_normal(2)) for _ in range(3))
+            yield np.array([[a, b], [c, b * c / a * (1 + 1e-6 * rng.standard_normal())]])
+
+    def test_2x2_block_whose_products_overflow(self, rng):
+        # ad and bc overflow, and inf - inf was NaN, though the determinant is in range.
+        mpmath = pytest.importorskip("mpmath")
+        blocks = [np.array([[1e200, 1e200], [1e120 * (1 - 2 ** -40), 1e120]], dtype=complex)]
+        blocks += [m * 1e155 for m in self.near_singular_blocks(rng)]
+        for m in blocks:
+            with mpmath.workdps(60):
+                a, b, c, d = (mpmath.mpc(z.real, z.imag) for z in m.ravel().tolist())
+                ref = complex(a * d - b * c)
+                bound = float(4 * mpmath.mpf(EPS) * (abs(a * d) + abs(b * c)))
+            assert bound < math.inf and abs(ref) < 1e308
+            got = linalg.det(m)
+            assert abs(got - ref) <= bound, (got, ref)
+
+    def test_2x2_block_scaled_past_overflow_keeps_its_bits(self, rng):
+        for m in self.near_singular_blocks(rng):
+            want = linalg.det(m)
+            k = (1020 - math.frexp(abs(want))[1]) // 2  # ad * 4**k overflows, det * 4**k does not
+            got = linalg.det(m * math.ldexp(1.0, k))
+            assert got == complex(math.ldexp(want.real, 2 * k), math.ldexp(want.imag, 2 * k))
 
     def test_real_factors_keep_the_bits_of_the_complex_product(self, rng):
         for n in range(1, 17):
@@ -347,6 +376,15 @@ class TestDenseJacobi:
         for n in (3, 4, 9):
             h = random_hermitian(rng, n) * scale
             self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h) + n * ulps)
+
+    @pytest.mark.parametrize("n", [3, 9, 16])
+    def test_reads_only_the_upper_triangle(self, rng, n):
+        h = random_hermitian(rng, n)
+        thresh = linalg.JACOBI_RTOL * linalg.frobenius_norm(h)
+        dirty = h.copy()
+        dirty[np.tril_indices(n, -1)] = np.nan
+        want = linalg._jacobi_spectrum(h, thresh)
+        assert np.array(linalg._jacobi_spectrum(dirty, thresh)).tobytes() == np.array(want).tobytes()
 
     def test_sweep_limit_raises(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 0)

@@ -1,5 +1,8 @@
 """Unit tests for the JSON matrix file format."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,22 @@ def test_encode_is_canonical(rng):
     a = random_complex(rng, 4)
     text = matfile.encode(a, (2, 2))
     assert matfile.encode(*matfile.decode(text)) == text
+
+
+def test_encode_matches_per_entry_json_dumps():
+    values = [-0.0, 5e-324, 1e308, 1.0, 0.1 + 0.2, math.inf, -math.inf, math.nan, 0.0]
+    a = np.array(values, dtype=complex).reshape(3, 3)
+    a.imag = np.array(values[::-1]).reshape(3, 3)
+    rows = [
+        "    [" + ", ".join(
+            f"[{json.dumps(float(a[i, j].real))}, {json.dumps(float(a[i, j].imag))}]"
+            for j in range(3)
+        ) + "]"
+        for i in range(3)
+    ]
+    want = '{\n  "dim": 3,\n  "entries": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+    assert matfile.encode(a) == want
+    assert "[-0.0, 0.0], [5e-324, NaN], [1e+308, -Infinity]" in want
 
 
 def test_parse_error_carries_offset():
