@@ -101,11 +101,9 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient positive-definiteness test: Tr(A) > sqrt(d-1) * ||A||_F.
 
     A True answer certifies that the Hermitian matrix is positive
-    definite; False is inconclusive.
+    definite; False is inconclusive. Raises XsepError on a non-finite entry.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    a = linalg.as_matrix(a, name="Tarazaga test input")
     defect, (i, j) = linalg.hermiticity_defect(a)
     if defect > tol:
         raise NotHermitian(

@@ -1,24 +1,20 @@
 """Dense complex matrix arithmetic and spectral routines.
 
 Everything operates on square complex numpy arrays of modest dimension
-(the rest of the package never needs more than ~16). Spectra and
-determinants loop over the blocks of the zero pattern: a symmetric
-permutation of the indices makes the matrix block diagonal, one block per
-connected component (an X matrix is two 2x2 blocks, a connected matrix
-one block). The components are found on the matrix's row list, which the
-block loop reads anyway, as disjoint bitmasks of indices. 1x1 and 2x2
-blocks are solved in closed form, exact to a few ulps (`hermitian_2x2`,
-the one 2x2 Hermitian form, which `xstate` uses too), so a connected 2x2
-matrix takes the closed form as well; larger blocks go to cyclic Jacobi
-rotations (eigenvalues) or LU with partial pivoting (determinants), each
-on the block scaled by a power of two. Jacobi runs on lists of Python
-complex, not NumPy rows: it rotates the strict upper triangle alone, never
-reading or writing below the diagonal, and keeps the diagonal as a list of
-floats. A matrix is checked (finite, Hermitian within tol) once:
-`hermitian_eigenvalues` is the check followed by `_hermitian_spectrum`,
-which callers holding an already checked, symmetrised matrix may call
-directly. All of it is self-contained: results do not depend on the
-installed LAPACK.
+(the package never needs more than ~16). Spectra and determinants loop
+over the blocks of the zero pattern, found as bitmasks on the matrix's
+row list: permuting the indices makes the matrix block diagonal (an X
+matrix is two 2x2 blocks, a connected matrix one). 1x1 and 2x2 blocks
+are solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form,
+exact to a few ulps, which `xstate` uses too); larger ones go to cyclic
+Jacobi rotations on the block scaled by a power of two, or to LU with
+partial pivoting, both on lists of Python complex. Jacobi rotates the
+strict upper triangle alone, keeping the diagonal as a list of floats. A
+determinant block is formed unscaled, and scaled by a power of two only
+if that is not finite. A matrix is checked (finite, Hermitian within
+tol) once: `hermitian_eigenvalues` is the check followed by
+`_hermitian_spectrum`, which callers holding an already checked,
+symmetrised matrix may call directly. Nothing uses an installed LAPACK.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -160,84 +157,86 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def det(a: np.ndarray) -> complex:
-    """Determinant, the product of those of the blocks of the zero pattern.
+    """Determinant of any square matrix, the product of those of its zero pattern's blocks.
 
-    A 1x1 block contributes its entry, a 2x2 block ad - bc (`_det_2x2`), a
-    larger one its LU decomposition with partial pivoting, which returns
-    exactly 0 when a pivot column vanishes. Valid for arbitrary (not
-    necessarily Hermitian) square inputs; raises XsepError on a non-finite
-    entry.
+    A block's is formed unscaled and, if not finite (something overflowed),
+    again on the block times 2**-e, e the exponent of its largest real or
+    imaginary part. Scaling every block would flush entries 2**1074 below
+    the largest to zero.
     """
-    m = as_matrix(a, name="determinant input")
-    rows = m.tolist()
+    rows = as_matrix(a, name="determinant input").tolist()
     dets = []
     for idx in _components(rows):
-        if len(idx) == 1:
-            dets.append(rows[idx[0]][idx[0]])
-        elif len(idx) == 2:
-            i, j = idx
-            dets.append(_det_2x2(rows[i][i], rows[i][j], rows[j][i], rows[j][j]))
-        else:
-            dets.append(_lu_det(m.take(idx, 0).take(idx, 1)))
+        z = _block_det(rows, idx)
+        if not cmath.isfinite(z):
+            block = [[rows[i][j] for j in idx] for i in idx]
+            e = math.frexp(max(abs(x) for row in block for w in row for x in (w.real, w.imag)))[1]
+            block = [[complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in row]
+                     for row in block]
+            z = _block_det(block, range(len(idx)), e)
+        dets.append(z)
     return _product(dets)
 
 
-def _det_2x2(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """ad - bc, formed again on the block scaled by a power of two if it overflows.
+def _block_det(rows: list[list[complex]], idx: list[int] | range, e: int = 0) -> complex:
+    """Determinant of the block of `rows` on the n indices idx, times 2**(n e).
 
-    Both products can overflow while the determinant is in range, and
-    inf - inf is NaN. A finite ad - bc overflowed nowhere and is returned as
-    it is. Otherwise the entries are scaled by 2**-e, e the exponent of the
-    largest real or imaginary part, as in `_lu_det`, and the result back by
-    2**e twice, since 2**(2e) may be past the float range. Scaling every
-    block would flush to zero an entry more than 2**1074 below the largest,
-    whose product with another entry may well be in range.
+    1x1: the entry (finite, so e is 0); 2x2: ad - bc; larger: LU with
+    partial pivoting on the first entry of largest modulus in each column.
+    A vanishing pivot column gives 0, or NaN if an overflow left an inf or
+    NaN there (max() skips NaN); a modulus past the float range gives inf.
     """
-    z = a * d - b * c
-    if cmath.isfinite(z):
-        return z
-    e = math.frexp(max(abs(x) for w in (a, b, c, d) for x in (w.real, w.imag)))[1]
-    a, b, c, d = (complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in (a, b, c, d))
-    z = a * d - b * c
-    return complex(_times_pow2(_times_pow2(z.real, e), e), _times_pow2(_times_pow2(z.imag, e), e))
+    if len(idx) == 1:
+        i, = idx
+        return rows[i][i]
+    if len(idx) == 2:
+        i, j = idx
+        z = rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
+        return _product([z], 2 * e) if e else z
+    a = list(map(itemgetter(*idx), map(rows.__getitem__, idx)))  # the block's rows, as tuples
+    factors = [1.0]  # the sign, then the pivots
+    while len(a) > 1:
+        try:
+            col = [abs(row[0]) for row in a]
+        except OverflowError:
+            return cmath.inf
+        big = max(col)
+        if not big:
+            return 0j if cmath.isfinite(sum(factors, sum(col))) else cmath.nan
+        p = col.index(big)
+        top = a[p]
+        if p:
+            a[p] = a[0]
+            factors[0] = -factors[0]
+        pivot, head = top[0], top[1:]
+        a = [[x - l * u for x, u in zip(row[1:], head)]
+             for row in a[1:] for l in (row[0] / pivot,)]
+        factors.append(pivot)
+    factors.append(a[0][0])
+    return _product(factors, len(idx) * e)
 
 
-def _product(factors: list[complex]) -> complex:
-    """The factors' product, left to right; of their real parts alone if all are real.
+def _product(factors: list[complex], e: int = 0) -> complex:
+    """The factors' product times 2**e, left to right.
 
-    A complex product's cross terms would turn 0 * inf into a NaN imaginary part.
+    With e = 0, of the real parts alone if all are real: a complex product
+    turns 0 * inf into a NaN imaginary part. Otherwise it is kept as z * 2**k,
+    z renormalised exactly after each factor as LINPACK's xGEDI keep a
+    determinant's exponent apart; 2**k, clamped to 2**+-2000, comes last.
     """
-    if all(f.imag == 0 for f in factors):
-        return complex(math.prod(f.real for f in factors))
-    return math.prod(factors, start=1 + 0j)
-
-
-def _lu_det(m: np.ndarray) -> complex:
-    """Determinant by LU with partial pivoting, on m scaled by a power of two.
-
-    The elimination runs on m times 2**-e, e the exponent of its largest
-    entry magnitude, so a pivot rounded into the subnormals cannot make a
-    multiplier overflow. The pivots are scaled back by 2**e before their
-    product is taken: both scalings are exact in range, so there the pivots
-    and the result have the bits of the unscaled run. Returns exactly 0
-    when a pivot column vanishes.
-    """
-    n = m.shape[0]
-    e = math.frexp(float(np.abs(m).max()))[1]
-    m = _times_pow2_array(m, -e)
-    sign = 1.0
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0:
-            return 0j
-        if p != k:
-            m[[k, p], :] = m[[p, k], :]
-            sign = -sign
-        m[k + 1:, k] /= m[k, k]
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
-    # The sign is one of the factors: a float times a complex is a complex product.
-    pivots = [complex(_times_pow2(z.real, e), _times_pow2(z.imag, e)) for z in np.diag(m).tolist()]
-    return _product([sign, *pivots])
+    if not e:
+        if all(f.imag == 0 for f in factors):
+            return complex(math.prod(f.real for f in factors))
+        return math.prod(factors, start=1 + 0j)
+    z, k = 1 + 0j, e
+    for f in factors:
+        z *= f
+        t = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        z = complex(math.ldexp(z.real, -t), math.ldexp(z.imag, -t))
+        k += t
+    k = max(-2000, min(k, 2000))
+    h = k // 2
+    return complex(*(_times_pow2(_times_pow2(x, h), k - h) for x in (z.real, z.imag)))
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -55,15 +56,23 @@ def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
         entries = doc["entries"]
     except KeyError as e:
         raise MatrixFileError(f"missing required key {e.args[0]!r}") from e
-    if not isinstance(d, int) or d < 1:
+    # JSON true and false decode to bool, a subclass of int.
+    if type(d) is not int or d < 1:
         raise MatrixFileError(f"dim must be a positive integer, got {d!r}")
+    # An integer literal past the float range raises OverflowError.
     try:
         arr = np.array(entries, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MatrixFileError(f"entries are not numeric pairs: {e}") from e
     if arr.shape != (d, d, 2):
         raise MatrixFileError(
             f"entries must be a {d}x{d} array of [re, im] pairs, got shape {arr.shape}"
+        )
+    # NumPy would read "1" as 1.0 and true as 1.0.
+    kinds = set(map(type, chain.from_iterable(chain.from_iterable(entries)))) - {int, float}
+    if kinds:
+        raise MatrixFileError(
+            f"entries must be JSON numbers, got {', '.join(sorted(k.__name__ for k in kinds))}"
         )
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError("entries contain non-finite numbers")
@@ -74,7 +83,7 @@ def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
         if (
             not isinstance(raw, list)
             or len(raw) != 2
-            or not all(isinstance(x, int) for x in raw)
+            or not all(type(x) is int for x in raw)
         ):
             raise MatrixFileError(f"dims must be a pair of integers, got {raw!r}")
         if raw[0] * raw[1] != d:

@@ -14,6 +14,7 @@ from xsep.errors import (
     InvalidParams,
     NotDensityMatrix,
     NotHermitian,
+    XsepError,
 )
 from xsep.xstate import XParams
 
@@ -139,6 +140,18 @@ class TestTarazaga:
         m[0, 1] = 1.0
         with pytest.raises(NotHermitian):
             criteria.tarazaga_pd(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_raises(self, bad):
+        # NaN and inf made both sides of the comparison NaN or inf: False, not an error.
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = bad
+        with pytest.raises(XsepError, match=r"non-finite entries at \(2,2\)$"):
+            criteria.tarazaga_pd(m)
+
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionMismatch):
+            criteria.tarazaga_pd(np.eye(4, 3))
 
     def test_soundness(self, rng):
         # every certified matrix must be positive definite

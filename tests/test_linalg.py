@@ -1,7 +1,11 @@
 """Unit tests for the dense complex matrix routines."""
 
+import cmath
+import decimal
 import math
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +20,36 @@ from xsep.errors import DimensionMismatch, NotHermitian, XsepError
 from conftest import densify, random_complex, random_hermitian, random_x_matrix, x_spectrum_oracle
 
 EPS = np.finfo(float).eps
+
+DEC60 = decimal.Context(prec=60, Emin=-99999, Emax=99999)
+
+
+def decimal_det(m):
+    """(re, im) of the determinant of a complex float matrix, at 60 digits, as Decimals.
+
+    Gaussian elimination with partial pivoting in the decimal module, whose C
+    implementation runs it far faster than mpmath's pure-Python one does.
+    Each float converts to a Decimal exactly.
+    """
+    with decimal.localcontext(DEC60):
+        a = [[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in m.tolist()]
+        dr, di = Decimal(1), Decimal(0)
+        for k in range(len(a)):
+            p = max(range(k, len(a)), key=lambda i: abs(a[i][k][0]) + abs(a[i][k][1]))
+            if p != k:
+                a[k], a[p] = a[p], a[k]
+                dr, di = -dr, -di
+            pr, pi = a[k][k]
+            q = pr * pr + pi * pi
+            if not q:
+                return Decimal(0), Decimal(0)
+            dr, di = dr * pr - di * pi, dr * pi + di * pr
+            for row in a[k + 1:]:
+                xr, xi = row[k]
+                lr, li = (xr * pr + xi * pi) / q, (xi * pr - xr * pi) / q
+                row[k + 1:] = [(x - lr * ur + li * ui, y - lr * ui - li * ur)
+                               for (x, y), (ur, ui) in zip(row[k + 1:], a[k][k + 1:])]
+        return dr, di
 
 
 def naive_mul(a, b):
@@ -143,7 +177,7 @@ class TestDet:
     @pytest.mark.parametrize("m, want", [
         # three 1x1 blocks; one LU block; one 2x2 block; two 2x2 blocks; four 1x1 blocks
         (np.diag([1e200, 1e200, 1.0]), math.inf),
-        (np.array([[4, 3, 2, 1], [3, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, -4]]) * 1e300, math.inf),
+        (np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) * 1e150, math.inf),
         (np.array([[1e200, 1.0], [1.0, 1e200]]), math.inf),
         (np.kron(np.eye(2), [[1e200, 1.0], [1.0, 1e200]]), math.inf),
         (np.diag([1e300, 1e300, 1e300, -1.0]), -math.inf),
@@ -183,6 +217,68 @@ class TestDet:
             k = (1020 - math.frexp(abs(want))[1]) // 2  # ad * 4**k overflows, det * 4**k does not
             got = linalg.det(m * math.ldexp(1.0, k))
             assert got == complex(math.ldexp(want.real, 2 * k), math.ldexp(want.imag, 2 * k))
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_lu_block_scaled_past_overflow_keeps_its_bits(self, rng, n):
+        # Rows 0 and n-1 are scaled by 2**400 and 2**-400, so partial pivoting
+        # takes them first and last: at det * 2**(n k) near 2**1020, the
+        # product of all pivots but the last is past the float range.
+        for t in range(20):
+            m = random_complex(rng, n) if t % 2 else rng.standard_normal((n, n))
+            m[0] *= 2.0 ** 400
+            m[-1] *= 2.0 ** -400
+            want = linalg.det(m)
+            k = (1020 - math.frexp(abs(want))[1]) // n
+            big = m * math.ldexp(1.0, k)
+            assert not cmath.isfinite(linalg._block_det(big.tolist(), range(n)))
+            got = linalg.det(big)
+            assert got == complex(math.ldexp(want.real, n * k), math.ldexp(want.imag, n * k))
+
+    def test_entries_far_below_the_largest_are_kept(self):
+        # Scaling the block by 2**-e for its largest entry flushed the 1e-300
+        # entries to zero, which gave -0. The reference is exact, then rounded.
+        m = np.array([[1e300, 1e-300, 1], [1e300, 2e-300, 1], [1, 1, 1]])
+        got = linalg.det(m)
+        (a, b, c), (d, e, f), (g, h, i) = ([Fraction(x) for x in row] for row in m.tolist())
+        want = float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+        assert got.imag == 0 and abs(got.real - want) <= 2 * math.ulp(want)
+
+    def test_entry_whose_modulus_is_past_the_float_range(self):
+        # abs() of the corner raises OverflowError; the determinant is in range.
+        mpmath = pytest.importorskip("mpmath")
+        m = np.array([[1.5e308 + 1.5e308j, 1, 0], [1, 1, 1], [0, 1, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.det(m)
+        with mpmath.workdps(60):
+            (a, b, c), (d, e, f), (g, h, i) = (
+                [mpmath.mpc(z.real, z.imag) for z in row] for row in m.tolist())
+            ref = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            assert abs(mpmath.mpc(got.real, got.imag) - ref) <= 4 * EPS * abs(ref)
+
+    def test_dense_within_1e_12_of_a_60_digit_reference(self):
+        # Random dense matrices, n = 3..16, real and complex, scaled by
+        # 10**U(-150, 150). A determinant past the float range must come out
+        # inf or NaN, one below the normal range within 2**-1022 of its value.
+        rng = np.random.default_rng(20261018)
+        in_range = 0
+        for t in range(2000):
+            n = 3 + t % 14
+            m = random_complex(rng, n) if t % 2 else rng.standard_normal((n, n))
+            m = m * 10.0 ** rng.uniform(-150, 150)
+            got = linalg.det(m)
+            dr, di = decimal_det(m)
+            with decimal.localcontext(DEC60):
+                size = (dr * dr + di * di).sqrt()
+                err = ((Decimal(got.real) - dr) ** 2 + (Decimal(got.imag) - di) ** 2).sqrt()
+                if size > Decimal(sys.float_info.max):
+                    assert not cmath.isfinite(got), (t, got)
+                elif size < Decimal(sys.float_info.min):
+                    assert err <= Decimal(sys.float_info.min), (t, got)
+                else:
+                    in_range += 1
+                    assert err <= Decimal("1e-12") * size, (t, got, err / size)
+        assert in_range > 500
 
     def test_real_factors_keep_the_bits_of_the_complex_product(self, rng):
         for n in range(1, 17):

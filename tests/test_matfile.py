@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xsep import matfile
+from xsep.cli import main
 from xsep.bipartite import BipartiteDims
 from xsep.errors import MatrixFileError
 
@@ -71,6 +72,36 @@ def test_rejects_bad_dims():
         matfile.decode('{"dim": 4, "dims": [2, 3], "entries": '
                        '[[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]],'
                        '[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]]]}')
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ('{"dim": 1, "entries": [[["1", "2"]]]}', "str"),
+    ('{"dim": 1, "entries": [[[true, 0]]]}', "bool"),
+    ('{"dim": 2, "entries": [[[1, 0], [0, "0"]], [[0, 0], [false, 0]]]}', "bool, str"),
+])
+def test_rejects_strings_and_booleans_as_numbers(text, kinds):
+    # NumPy reads "1" and true as the number 1.0.
+    with pytest.raises(MatrixFileError, match=f"entries must be JSON numbers, got {kinds}$"):
+        matfile.decode(text)
+
+
+def test_rejects_booleans_as_integers():
+    with pytest.raises(MatrixFileError, match="dim must be a positive integer, got True"):
+        matfile.decode('{"dim": true, "entries": [[[1, 0]]]}')
+    with pytest.raises(MatrixFileError, match="dims must be a pair of integers"):
+        matfile.decode('{"dim": 1, "dims": [true, 1], "entries": [[[1, 0]]]}')
+
+
+def test_rejects_an_integer_past_the_float_range():
+    with pytest.raises(MatrixFileError, match="int too large to convert to float"):
+        matfile.decode('{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}')
+
+
+def test_string_entries_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "entries": [[["1", "2"]]]}')
+    assert main(["pt", str(bad)]) == 2
+    assert "entries must be JSON numbers, got str" in capsys.readouterr().err
 
 
 def test_missing_key():
