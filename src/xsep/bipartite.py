@@ -54,7 +54,10 @@ class BipartiteDims:
     def of(cls, dims: "BipartiteDims | tuple[int, int]") -> "BipartiteDims":
         if isinstance(dims, BipartiteDims):
             return dims
-        m, n = dims
+        try:
+            m, n = dims
+        except (TypeError, ValueError):
+            raise InvalidParams(f"subsystem dimensions must be a pair, got {dims!r}") from None
         return cls(m, n)
 
 

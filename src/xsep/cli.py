@@ -127,8 +127,10 @@ def cmd_analyze(args) -> int:
         "x_shaped": x_shaped,
     }
     if x_shaped:
-        x = xstate.XMatrix.from_matrix(matrix, args.tol)
-        payload["concurrence"] = xstate.concurrence(x, trace_tol=args.tol)
+        # The state passed validate_density under --tol; it is not checked again.
+        a = matrix.tolist()
+        payload["concurrence"] = xstate.x_concurrence(
+            a[0][0].real, a[1][1].real, a[2][2].real, a[3][3].real, abs(a[0][3]), abs(a[1][2]))
     _emit(args, payload)
     return EXIT_OK
 
@@ -202,7 +204,6 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     # corners) the smaller, of one term per corner modulus.
     terms = {}
     for m in {*moduli[0], *moduli[1]}:
-        xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m, m)
         terms[m] = (xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
                     linalg.hermitian_2x2(0.25, 0.25, m)[1])
     rendered = {x: fmt(x) for x in {x for pair in terms.values() for x in pair}}

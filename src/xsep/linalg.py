@@ -9,9 +9,9 @@ are solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form,
 exact to a few ulps, which `xstate` uses too); larger ones go to cyclic
 Jacobi rotations on the block scaled by a power of two, or to LU with
 partial pivoting, both on lists of Python complex. Jacobi rotates the
-strict upper triangle alone, keeping the diagonal as a list of floats. A
-determinant block is formed unscaled, and scaled by a power of two only
-if that is not finite. A matrix is checked (finite, Hermitian within
+strict upper triangle alone, keeping the diagonal as a list of floats.
+The factors of every determinant block make one product, kept as a
+mantissa and an exponent. A matrix is checked (finite, Hermitian within
 tol) once: `hermitian_eigenvalues` is the check followed by
 `_hermitian_spectrum`, which callers holding an already checked,
 symmetrised matrix may call directly. Nothing uses an installed LAPACK.
@@ -157,52 +157,51 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def det(a: np.ndarray) -> complex:
-    """Determinant of any square matrix, the product of those of its zero pattern's blocks.
+    """Determinant of any square matrix: one product of its zero pattern's blocks' factors.
 
-    A block's is formed unscaled and, if not finite (something overflowed),
-    again on the block times 2**-e, e the exponent of its largest real or
-    imaginary part. Scaling every block would flush entries 2**1074 below
-    the largest to zero.
+    A block's factors are formed unscaled and, if one is not finite, again on
+    the block times 2**-s, s the exponent of its largest real or imaginary
+    part. Scaling every block would flush entries 2**1074 below the largest.
     """
     rows = as_matrix(a, name="determinant input").tolist()
-    dets = []
+    factors, e = [], 0
     for idx in _components(rows):
-        z = _block_det(rows, idx)
-        if not cmath.isfinite(z):
-            block = [[rows[i][j] for j in idx] for i in idx]
-            e = math.frexp(max(abs(x) for row in block for w in row for x in (w.real, w.imag)))[1]
-            block = [[complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in row]
-                     for row in block]
-            z = _block_det(block, range(len(idx)), e)
-        dets.append(z)
-    return _product(dets)
+        block = _block_factors(rows, idx)
+        if not all(map(cmath.isfinite, block)):
+            m = [[rows[i][j] for j in idx] for i in idx]
+            s = math.frexp(max(abs(x) for row in m for w in row for x in (w.real, w.imag)))[1]
+            m = [[complex(math.ldexp(w.real, -s), math.ldexp(w.imag, -s)) for w in r] for r in m]
+            block = _block_factors(m, range(len(idx)))
+            e += len(idx) * s
+        factors += block
+    return _product(factors, e)
 
 
-def _block_det(rows: list[list[complex]], idx: list[int] | range, e: int = 0) -> complex:
-    """Determinant of the block of `rows` on the n indices idx, times 2**(n e).
+def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[complex]:
+    """Factors whose product is the determinant of the block of `rows` on the indices idx.
 
-    1x1: the entry (finite, so e is 0); 2x2: ad - bc; larger: LU with
-    partial pivoting on the first entry of largest modulus in each column.
-    A vanishing pivot column gives 0, or NaN if an overflow left an inf or
-    NaN there (max() skips NaN); a modulus past the float range gives inf.
+    1x1: the entry; 2x2: ad - bc; larger: the sign and the pivots of LU
+    with partial pivoting on the first entry of largest modulus in each
+    column. A vanishing pivot column ends the list with 0, or NaN if an
+    overflow left a NaN there (max() skips NaN); a modulus past the float
+    range ends it with inf.
     """
     if len(idx) == 1:
         i, = idx
-        return rows[i][i]
+        return [rows[i][i]]
     if len(idx) == 2:
         i, j = idx
-        z = rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]
-        return _product([z], 2 * e) if e else z
+        return [rows[i][i] * rows[j][j] - rows[i][j] * rows[j][i]]
     a = list(map(itemgetter(*idx), map(rows.__getitem__, idx)))  # the block's rows, as tuples
     factors = [1.0]  # the sign, then the pivots
     while len(a) > 1:
         try:
             col = [abs(row[0]) for row in a]
         except OverflowError:
-            return cmath.inf
+            return [cmath.inf]
         big = max(col)
         if not big:
-            return 0j if cmath.isfinite(sum(factors, sum(col))) else cmath.nan
+            return [*factors, sum(col)]
         p = col.index(big)
         top = a[p]
         if p:
@@ -213,30 +212,33 @@ def _block_det(rows: list[list[complex]], idx: list[int] | range, e: int = 0) ->
              for row in a[1:] for l in (row[0] / pivot,)]
         factors.append(pivot)
     factors.append(a[0][0])
-    return _product(factors, len(idx) * e)
+    return factors
 
 
-def _product(factors: list[complex], e: int = 0) -> complex:
-    """The factors' product times 2**e, left to right.
+def _product(factors: list[complex], e: int) -> complex:
+    """The factors' product times 2**e: one left-to-right complex product z * 2**k.
 
-    With e = 0, of the real parts alone if all are real: a complex product
-    turns 0 * inf into a NaN imaginary part. Otherwise it is kept as z * 2**k,
-    z renormalised exactly after each factor as LINPACK's xGEDI keep a
-    determinant's exponent apart; 2**k, clamped to 2**+-2000, comes last.
+    As LINPACK's xGEDI keep a determinant, a step whose |z| leaves the band
+    [2**-500, 2**500] (or is inf or NaN) is formed again on the factor scaled
+    to [0.5, 1), and z too is scaled there, by exact powers of two: no partial
+    product overflows or underflows, and in range z has the plain product's
+    bits. 2**k comes last, and a real matrix's imaginary part is made +0.0.
     """
-    if not e:
-        if all(f.imag == 0 for f in factors):
-            return complex(math.prod(f.real for f in factors))
-        return math.prod(factors, start=1 + 0j)
     z, k = 1 + 0j, e
     for f in factors:
-        z *= f
-        t = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-        z = complex(math.ldexp(z.real, -t), math.ldexp(z.imag, -t))
-        k += t
-    k = max(-2000, min(k, 2000))
-    h = k // 2
-    return complex(*(_times_pow2(_times_pow2(x, h), k - h) for x in (z.real, z.imag)))
+        w = z * f
+        if not 2.0 ** -500 <= math.hypot(w.real, w.imag) <= 2.0 ** 500:
+            t = math.frexp(max(abs(f.real), abs(f.imag)))[1]
+            w = z * complex(math.ldexp(f.real, -t), math.ldexp(f.imag, -t))
+            s = math.frexp(max(abs(w.real), abs(w.imag)))[1]
+            w = complex(math.ldexp(w.real, -s), math.ldexp(w.imag, -s))
+            k += t + s
+        z = w
+    try:
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k) + 0.0)
+    except OverflowError:  # past the float range: inf, from two powers of two in range
+        k = min(k, 2000)
+        return complex(*(x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) for x in (z.real, z.imag + 0.0)))
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:

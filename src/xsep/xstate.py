@@ -227,7 +227,8 @@ def _check_block(label: str, dd: float, sq: float) -> None:
 
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
     """The four eigenvalues of an X matrix, sorted descending: those of its two 2x2 blocks."""
-    return linalg.hermitian_eigenvalues(x.matrix())
+    w = linalg.hermitian_2x2(x.d11, x.d44, x.c14) + linalg.hermitian_2x2(x.d22, x.d33, x.c23)
+    return np.array(sorted(w, reverse=True))
 
 
 def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
@@ -276,13 +277,5 @@ def family_concurrence(params: XParams) -> float:
 
 
 def zero_concurrence_region(params: XParams) -> bool:
-    """True iff the family state has zero concurrence.
-
-    For t1, t2 > 0 this is the region |v1| <= t2/t1 and |v2| <= t1/t2;
-    degenerate weights fall back to evaluating the concurrence formula
-    directly (the multiplicative form below covers both).
-    """
-    return (
-        params.t2 * abs(params.v2) <= params.t1
-        and params.t1 * abs(params.v1) <= params.t2
-    )
+    """True iff the family state has zero concurrence: t2|v2| <= t1 and t1|v1| <= t2."""
+    return family_concurrence(params) == 0.0

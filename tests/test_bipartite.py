@@ -42,6 +42,11 @@ class TestDims:
         with pytest.raises(InvalidParams, match="must be integers"):
             BipartiteDims(*dims)
 
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2), None, 4])
+    def test_rejects_anything_but_a_pair(self, dims):
+        with pytest.raises(InvalidParams, match="must be a pair"):
+            BipartiteDims.of(dims)
+
     def test_non_integer_dims_do_not_truncate(self):
         with pytest.raises(InvalidParams, match="must be integers"):
             partial_transpose(np.eye(4), (2.9, 2.2))

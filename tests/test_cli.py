@@ -127,6 +127,18 @@ class TestAnalyze:
         assert main(["analyze", str(src)]) == 4
         assert "trace check failed" in capsys.readouterr().err
 
+    def test_state_accepted_under_tol_is_not_checked_again(self, tmp_path, capsys):
+        # Its smallest eigenvalue is -5e-8, within --tol 1e-6, but the outer
+        # block fails the fixed 1e-10 slack of XMatrix's PSD check (exit 3).
+        src = tmp_path / "x.json"
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 3] = rho[3, 0] = 0.25 + 5e-8
+        matfile.save(str(src), rho, (2, 2))
+        assert main(["analyze", str(src), "--tol", "1e-6", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["x_shaped"] is True
+        assert report["concurrence"] == pytest.approx(1e-7, rel=1e-6)
+
     def test_text_output(self, tmp_path, capsys):
         src = tmp_path / "bell.json"
         write_bell(src)

@@ -52,6 +52,12 @@ def decimal_det(m):
         return dr, di
 
 
+def exact_det3(m):
+    """The determinant of a real 3x3 float matrix, exact, then rounded to a float."""
+    (a, b, c), (d, e, f), (g, h, i) = ([Fraction(x) for x in row] for row in m.tolist())
+    return float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+
+
 def naive_mul(a, b):
     d = a.shape[0]
     out = np.zeros((d, d), dtype=complex)
@@ -184,11 +190,11 @@ class TestDet:
         (np.array([[3e200, 1e200], [1e200, 1e200]]), math.inf),
     ])
     def test_real_matrix_past_the_float_range_has_zero_imaginary_part(self, m, want):
-        # A complex product of real factors turns 0 * inf into a NaN
-        # imaginary part once it overflows.
+        # A complex product of real factors turned 0 * inf into a NaN
+        # imaginary part once it overflowed.
         d = linalg.det(m)
         assert d.real == want
-        assert d.imag == 0
+        assert d.imag == 0 and math.copysign(1.0, d.imag) == 1.0
 
     @staticmethod
     def near_singular_blocks(rng):
@@ -222,7 +228,7 @@ class TestDet:
     def test_lu_block_scaled_past_overflow_keeps_its_bits(self, rng, n):
         # Rows 0 and n-1 are scaled by 2**400 and 2**-400, so partial pivoting
         # takes them first and last: at det * 2**(n k) near 2**1020, the
-        # product of all pivots but the last is past the float range.
+        # plain product of all pivots but the last is past the float range.
         for t in range(20):
             m = random_complex(rng, n) if t % 2 else rng.standard_normal((n, n))
             m[0] *= 2.0 ** 400
@@ -230,7 +236,8 @@ class TestDet:
             want = linalg.det(m)
             k = (1020 - math.frexp(abs(want))[1]) // n
             big = m * math.ldexp(1.0, k)
-            assert not cmath.isfinite(linalg._block_det(big.tolist(), range(n)))
+            factors = linalg._block_factors(big.tolist(), range(n))
+            assert not cmath.isfinite(math.prod(factors, start=1 + 0j))
             got = linalg.det(big)
             assert got == complex(math.ldexp(want.real, n * k), math.ldexp(want.imag, n * k))
 
@@ -238,9 +245,21 @@ class TestDet:
         # Scaling the block by 2**-e for its largest entry flushed the 1e-300
         # entries to zero, which gave -0. The reference is exact, then rounded.
         m = np.array([[1e300, 1e-300, 1], [1e300, 2e-300, 1], [1, 1, 1]])
-        got = linalg.det(m)
-        (a, b, c), (d, e, f), (g, h, i) = ([Fraction(x) for x in row] for row in m.tolist())
-        want = float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+        got, want = linalg.det(m), exact_det3(m)
+        assert got.imag == 0 and abs(got.real - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1e-200, 1e-200, 1e250]),
+        np.diag([1e200, 1e200, 1e-300]),
+        np.array([[1e-200, 1e-300, 0], [1e-300, 1e-200, 1e-300], [0, 1e-300, 1e250]]),
+        np.diag([2.0 ** 400, 2.0 ** 1000, 2.0 ** -1000]),
+    ])
+    def test_partial_products_past_the_float_range(self, m):
+        # The product of the first two factors underflows or overflows, the
+        # determinant does not: the plain product gave 0j and inf+0j. In the
+        # last case the second factor itself is past the band the running
+        # product is kept in.
+        got, want = linalg.det(m), exact_det3(m)
         assert got.imag == 0 and abs(got.real - want) <= 2 * math.ulp(want)
 
     def test_entry_whose_modulus_is_past_the_float_range(self):
@@ -259,7 +278,7 @@ class TestDet:
     def test_dense_within_1e_12_of_a_60_digit_reference(self):
         # Random dense matrices, n = 3..16, real and complex, scaled by
         # 10**U(-150, 150). A determinant past the float range must come out
-        # inf or NaN, one below the normal range within 2**-1022 of its value.
+        # inf, not NaN, one below the normal range within 2**-1022 of its value.
         rng = np.random.default_rng(20261018)
         in_range = 0
         for t in range(2000):
@@ -267,12 +286,14 @@ class TestDet:
             m = random_complex(rng, n) if t % 2 else rng.standard_normal((n, n))
             m = m * 10.0 ** rng.uniform(-150, 150)
             got = linalg.det(m)
+            if not t % 2:
+                assert got.imag == 0 and math.copysign(1.0, got.imag) == 1.0, (t, got)
             dr, di = decimal_det(m)
             with decimal.localcontext(DEC60):
                 size = (dr * dr + di * di).sqrt()
                 err = ((Decimal(got.real) - dr) ** 2 + (Decimal(got.imag) - di) ** 2).sqrt()
                 if size > Decimal(sys.float_info.max):
-                    assert not cmath.isfinite(got), (t, got)
+                    assert cmath.isinf(got) and not cmath.isnan(got), (t, got)
                 elif size < Decimal(sys.float_info.min):
                     assert err <= Decimal(sys.float_info.min), (t, got)
                 else:
@@ -286,7 +307,7 @@ class TestDet:
             want = 1 + 0j
             for f in factors:
                 want *= f
-            got = linalg._product(factors)
+            got = linalg._product(factors, 0)
             assert got.real.hex() == want.real.hex() and got.imag == 0
 
 

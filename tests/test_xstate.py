@@ -180,10 +180,13 @@ class TestOneClosedForm:
     """The X spectra are those of `linalg.hermitian_2x2`, bit for bit."""
 
     def test_eigenvalues_equal_the_general_solver(self, rng):
+        # Bit for bit, on the matrix as drawn and scaled by 10**U(-150, 150).
         for _ in range(2000):
-            x = random_x_with_zero_corners(rng)
-            got = xstate.x_eigenvalues(x)
-            assert got.tolist() == linalg.hermitian_eigenvalues(x.matrix()).tolist()
+            m = random_x_with_zero_corners(rng).matrix()
+            for a in (m, m * 10.0 ** rng.uniform(-150, 150)):
+                x = XMatrix(*(a[k, k].real for k in range(4)), c14=a[0, 3], c23=a[1, 2])
+                got, want = xstate.x_eigenvalues(x), linalg.hermitian_eigenvalues(a)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_min_eigenvalue_on_moduli_equals_the_real_corner_spectrum(self, rng):
         for _ in range(2000):
@@ -272,11 +275,15 @@ class TestZeroConcurrenceRegion:
     def test_inside_region(self):
         # |v1| = 0.5 <= 0.2/0.3 is false... the bounds are t2/t1 = 0.667 and t1/t2 = 1.5
         assert xstate.zero_concurrence_region(XParams.symmetric(0.3, 0.2, 0.5, 0.9))
+        # On the boundary, t2 |v2| == t1 and t1 |v1| == t2 exactly.
+        assert xstate.zero_concurrence_region(XParams.symmetric(0.25, 0.5, 0.5, 0.5))
 
     def test_outside_region(self):
         params = XParams.symmetric(0.1, 0.4, 0j, 0.5)
         assert not xstate.zero_concurrence_region(params)
         assert abs(xstate.family_concurrence(params) - 0.2) < 1e-15
+        # One ulp past the boundary.
+        assert not xstate.zero_concurrence_region(XParams.symmetric(0.25, 0.5, 0.5, 0.5000000000000001))
 
     def test_degenerate_weight(self):
         # t2 = 0: region collapses to v1 = 0
