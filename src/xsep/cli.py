@@ -117,20 +117,18 @@ def cmd_analyze(args) -> int:
     matrix = linalg.as_matrix(matrix, name="input matrix")
     dims = _resolve_dims(args, file_dims, matrix.shape[0])
     density = criteria.validate_density(matrix, dims, args.tol)
-    x_shaped = matrix.shape[0] == 4 and xstate.is_x_shaped(matrix, args.tol)
+    # The state passed validate_density under --tol; it is not checked again.
+    conc = xstate.matrix_concurrence(matrix, args.tol)
     payload = {
         "hermitian": True,
         "trace": density.trace,
         "min_eigenvalue": density.min_eigenvalue,
         "min_pt_eig": density.min_pt_eigenvalue,
         "ppt": density.ppt,
-        "x_shaped": x_shaped,
+        "x_shaped": conc is not None,
     }
-    if x_shaped:
-        # The state passed validate_density under --tol; it is not checked again.
-        a = matrix.tolist()
-        payload["concurrence"] = xstate.x_concurrence(
-            a[0][0].real, a[1][1].real, a[2][2].real, a[3][3].real, abs(a[0][3]), abs(a[1][2]))
+    if conc is not None:
+        payload["concurrence"] = conc
     _emit(args, payload)
     return EXIT_OK
 

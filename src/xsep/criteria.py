@@ -101,18 +101,12 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Sufficient positive-definiteness test: Tr(A) > sqrt(d-1) * ||A||_F.
 
     A True answer certifies that the Hermitian matrix is positive
-    definite; False is inconclusive. Raises XsepError on a non-finite entry.
+    definite; False is inconclusive. Raises XsepError on a non-finite entry
+    and NotHermitian if A is not Hermitian within tol.
     """
     a = linalg.as_matrix(a, name="Tarazaga test input")
-    defect, (i, j) = linalg.hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitian(
-            f"test defined for Hermitian matrices; entries ({i},{j})/({j},{i}) "
-            f"differ by {defect:.3e}",
-            pair=(i, j),
-        )
-    d = a.shape[0]
-    return linalg.trace(a).real > math.sqrt(d - 1) * linalg.frobenius_norm(a)
+    linalg._require_hermitian(a, tol)
+    return linalg.trace(a).real > math.sqrt(a.shape[0] - 1) * linalg.frobenius_norm(a)
 
 
 def _real_det(a: np.ndarray, name: str) -> float:
@@ -196,8 +190,7 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
             f"criterion requires subsystem dimensions m, n >= 3, got "
             f"({dims.m}, {dims.n})"
         )
-    p1 = np.asarray(p1, dtype=complex)
-    p2 = np.asarray(p2, dtype=complex)
+    p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
     if p1.shape != (dims.total, dims.total) or p2.shape != p1.shape:
         raise DimensionMismatch(
             f"factors must be {dims.total}x{dims.total} for dims ({dims.m},{dims.n})"
@@ -291,8 +284,11 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     """Evaluate every criterion on a 4x4 factor pair with Hermitian product.
 
     The determinant inequality sides are reported unconditionally (the
-    equality verdict says whether its hypothesis held); the concurrence
-    is included only when the product is an X state of trace 1 within tol.
+    equality verdict says whether its hypothesis held); the concurrence,
+    `xstate.matrix_concurrence` of the product, is included only when the
+    product is X shaped and of trace 1 within tol. The positivity of the
+    pair and of the product is not checked: a product that is not PSD still
+    gets its `ppt`, `min_pt_eigenvalue` and concurrence values.
     """
     gap, prod, prod_pt, p1_pt, p2_pt = _evaluate_two_qubits(p1, p2, "report is defined for")
     gap_norm = linalg.frobenius_norm(gap)
@@ -302,9 +298,6 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
         gap_eigs = None
     min_pt = linalg.min_eigenvalue(prod_pt, tol)
     theorem2 = _theorem2(p1_pt, p2_pt)
-    conc = None
-    if xstate.is_x_shaped(prod, tol) and abs(linalg.trace(prod) - 1.0) <= tol:
-        conc = xstate.concurrence(xstate.XMatrix._from_x_shaped(prod, tol), trace_tol=tol)
     return CriterionReport(
         gap_frobenius=gap_norm,
         gap_eigenvalues=gap_eigs,
@@ -314,5 +307,5 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
         theorem2_rhs=THEOREM2_RHS,
         theorem2_satisfied=theorem2.satisfied,
         ppt=min_pt >= -tol,
-        concurrence=conc,
+        concurrence=xstate.matrix_concurrence(prod, tol),
     )

@@ -12,7 +12,9 @@ built here keep the complex phases: partial transposition acts on the
 phased entries.
 
 The spectra come from `linalg.hermitian_2x2`, the package's one closed form
-for 2x2 Hermitian blocks: an X matrix is two such blocks.
+for 2x2 Hermitian blocks: an X matrix is two such blocks. The concurrence is
+`x_concurrence` (Wootters 1998); `matrix_concurrence` alone reads it off a
+4x4 array, for `xsep analyze` and `criteria.factor_report` alike.
 """
 
 from __future__ import annotations
@@ -144,18 +146,11 @@ class XMatrix:
             raise InvalidParams(f"an X matrix is 4x4, got shape {a.shape}")
         if not is_x_shaped(a, tol):
             raise InvalidParams("matrix is not X shaped within tolerance")
-        return cls._from_x_shaped(a, tol)
-
-    @classmethod
-    def _from_x_shaped(cls, a: np.ndarray, tol: float) -> "XMatrix":
-        """`from_matrix` on a complex 4x4 array already found X shaped within tol."""
         defect, _ = linalg.hermiticity_defect(a)
         if defect > tol:
             raise InvalidParams(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
-        return cls(
-            d11=a[0, 0].real, d22=a[1, 1].real, d33=a[2, 2].real, d44=a[3, 3].real,
-            c14=complex(a[0, 3]), c23=complex(a[1, 2]),
-        )
+        return cls(a[0, 0].real, a[1, 1].real, a[2, 2].real, a[3, 3].real,
+                   c14=complex(a[0, 3]), c23=complex(a[1, 2]))
 
 
 def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
@@ -180,11 +175,9 @@ def _off_x_mask(n: int) -> np.ndarray:
 def build_factors(params: XParams) -> FactorPair:
     """Assemble the factor pair (P1, P2) from validated parameters."""
     p1 = np.diag(np.array([params.t1, params.t2, params.t3, params.t4], dtype=complex))
+    v1, v2 = params.v1, params.v2
     p2 = np.eye(4, dtype=complex)
-    p2[0, 3] = params.v1
-    p2[3, 0] = params.v1.conjugate()
-    p2[1, 2] = params.v2
-    p2[2, 1] = params.v2.conjugate()
+    p2[0, 3], p2[3, 0], p2[1, 2], p2[2, 1] = v1, v1.conjugate(), v2, v2.conjugate()
     return FactorPair(p1=p1, p2=p2)
 
 
@@ -200,10 +193,8 @@ def product_state(params: XParams) -> XMatrix:
             "product is Hermitian and PSD only for t3 == t2 and t4 == t1; "
             f"got t3={params.t3}, t2={params.t2}, t4={params.t4}, t1={params.t1}"
         )
-    return XMatrix(
-        d11=params.t1, d22=params.t2, d33=params.t2, d44=params.t1,
-        c14=params.t1 * params.v1, c23=params.t2 * params.v2,
-    )
+    t1, t2 = params.t1, params.t2
+    return XMatrix(t1, t2, t2, t1, c14=t1 * params.v1, c23=t2 * params.v2)
 
 
 # Closed forms on the entries of an X matrix: four diagonal floats and the
@@ -216,13 +207,10 @@ def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
 
     The blocks are PSD iff d11*d44 >= |c14|^2 and d22*d33 >= |c23|^2.
     """
-    _check_block("outer block not PSD: d11*d44 < |c14|^2", d11 * d44, abs_c14 * abs_c14)
-    _check_block("inner block not PSD: d22*d33 < |c23|^2", d22 * d33, abs_c23 * abs_c23)
-
-
-def _check_block(label: str, dd: float, sq: float) -> None:
-    if dd < sq - _PSD_SLACK:
-        raise InvalidParams(f"{label} ({dd} < {sq})")
+    for label, dd, c in (("outer block not PSD: d11*d44 < |c14|^2", d11 * d44, abs_c14),
+                         ("inner block not PSD: d22*d33 < |c23|^2", d22 * d33, abs_c23)):
+        if dd < c * c - _PSD_SLACK:
+            raise InvalidParams(f"{label} ({dd} < {c * c})")
 
 
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
@@ -233,9 +221,8 @@ def x_eigenvalues(x: XMatrix) -> np.ndarray:
 
 def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
     """Smallest eigenvalue of an X matrix: the lower of its blocks' lower eigenvalues."""
-    outer = linalg.hermitian_2x2(d11, d44, abs_c14)[1]
-    inner = linalg.hermitian_2x2(d22, d33, abs_c23)[1]
-    return min(outer, inner)
+    return min(linalg.hermitian_2x2(d11, d44, abs_c14)[1],
+               linalg.hermitian_2x2(d22, d33, abs_c23)[1])
 
 
 def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
@@ -243,11 +230,37 @@ def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
     return (d11 * d44 - abs_c14 * abs_c14) * (d22 * d33 - abs_c23 * abs_c23)
 
 
+def _sqrt_product(a: float, b: float) -> float:
+    """sqrt(max(a*b, 0)), also where a*b underflows or overflows.
+
+    Past the normal floats the factors are scaled by 4**-i and 4**-j and the
+    root back by 2**(i + j); both are exact, so an in-range root keeps its bits.
+    """
+    p = a * b
+    if sys.float_info.min <= p <= sys.float_info.max:
+        return math.sqrt(p)
+    if (a < 0.0) != (b < 0.0):
+        return 0.0
+    i, j = math.frexp(a)[1] // 2, math.frexp(b)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(a, -2 * i) * math.ldexp(b, -2 * j)), i + j)
+
+
 def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
     """C = 2 max{0, |c23| - sqrt(d11*d44), |c14| - sqrt(d22*d33)} of a normalized X state."""
-    inner = abs_c23 - math.sqrt(max(d11 * d44, 0.0))
-    outer = abs_c14 - math.sqrt(max(d22 * d33, 0.0))
-    return 2.0 * max(0.0, inner, outer)
+    return 2.0 * max(0.0, abs_c23 - _sqrt_product(d11, d44), abs_c14 - _sqrt_product(d22, d33))
+
+
+def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
+    """`x_concurrence` of a 4x4 array X shaped and of trace 1 within tol, else None.
+
+    Hermiticity and positivity are the caller's to check: the diagonal is
+    read by its real parts and the corners by their moduli.
+    """
+    a = np.asarray(a)
+    if a.shape != (4, 4) or not is_x_shaped(a, tol) or abs(linalg.trace(a) - 1.0) > tol:
+        return None
+    (d11, _, _, c14), (_, d22, c23, _), (_, _, d33, _), (_, _, _, d44) = a.tolist()
+    return x_concurrence(d11.real, d22.real, d33.real, d44.real, abs(c14), abs(c23))
 
 
 def concurrence(x: XMatrix, trace_tol: float = 1e-9) -> float:
@@ -257,23 +270,18 @@ def concurrence(x: XMatrix, trace_tol: float = 1e-9) -> float:
     within `trace_tol`.
     """
     if abs(x.trace - 1.0) > trace_tol:
-        raise InvalidParams(
-            f"concurrence needs a normalized state, trace is {x.trace!r}"
-        )
+        raise InvalidParams(f"concurrence needs a normalized state, trace is {x.trace!r}")
     return x_concurrence(x.d11, x.d22, x.d33, x.d44, abs(x.c14), abs(x.c23))
 
 
 def family_concurrence(params: XParams) -> float:
     """Closed-form concurrence of the symmetric family: 2 max{0, t2|v2|-t1, t1|v1|-t2}.
 
-    Unlike `concurrence` this needs no normalization; it is the same
-    formula expressed through the factor parameters.
+    Unlike `concurrence` this needs no normalization; it is `x_concurrence`
+    of the product's entries.
     """
-    return 2.0 * max(
-        0.0,
-        params.t2 * abs(params.v2) - params.t1,
-        params.t1 * abs(params.v1) - params.t2,
-    )
+    t1, t2 = params.t1, params.t2
+    return x_concurrence(t1, t2, t2, t1, t1 * abs(params.v1), t2 * abs(params.v2))
 
 
 def zero_concurrence_region(params: XParams) -> bool:

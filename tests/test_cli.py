@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xsep import criteria, linalg, matfile
+from xsep import criteria, linalg, matfile, xstate
 from xsep.cli import _emit, build_parser, main
 from xsep.errors import XsepError
 
-from conftest import random_complex
+from conftest import random_complex, random_unit_disc
 
 BELL = str(Path(__file__).parent / "data" / "cli_golden" / "bell.json")
 
@@ -138,6 +138,35 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["x_shaped"] is True
         assert report["concurrence"] == pytest.approx(1e-7, rel=1e-6)
+
+    def test_tiny_block_product_does_not_underflow(self, tmp_path, capsys):
+        # d11 * d44 = 1e-340 underflows; |c23| = sqrt(d11 d44) puts the state
+        # on the PPT boundary, where the concurrence is 0.
+        src = tmp_path / "x.json"
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = rho[3, 3] = 1e-170
+        rho[1, 1] = rho[2, 2] = 0.5 - 1e-170
+        rho[1, 2] = rho[2, 1] = 1e-170
+        matfile.save(str(src), rho, (2, 2))
+        assert main(["analyze", str(src), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ppt"] is True
+        assert report["concurrence"] == 0.0
+
+    def test_concurrence_is_factor_reports_bit_for_bit(self, tmp_path, capsys, rng):
+        src = tmp_path / "x.json"
+        entangled = 0
+        for _ in range(50):
+            t1 = 0.5 * rng.random()
+            params = xstate.XParams.symmetric(t1, 0.5 - t1, random_unit_disc(rng),
+                                              random_unit_disc(rng))
+            pair = xstate.build_factors(params)
+            matfile.save(str(src), linalg.mul(pair.p1, pair.p2), (2, 2))
+            assert main(["analyze", str(src), "--json"]) == 0
+            conc = json.loads(capsys.readouterr().out)["concurrence"]
+            assert conc == criteria.factor_report(pair.p1, pair.p2).concurrence
+            entangled += conc > 0.0
+        assert entangled > 10
 
     def test_text_output(self, tmp_path, capsys):
         src = tmp_path / "bell.json"

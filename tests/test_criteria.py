@@ -141,6 +141,12 @@ class TestTarazaga:
         with pytest.raises(NotHermitian):
             criteria.tarazaga_pd(m)
 
+    def test_non_hermitian_message_is_the_librarys(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = 1.0
+        with pytest.raises(NotHermitian, match=r"^not Hermitian: entries \(0,1\) and \(1,0\) "):
+            criteria.tarazaga_pd(m)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_raises(self, bad):
         # NaN and inf made both sides of the comparison NaN or inf: False, not an error.
@@ -420,6 +426,27 @@ class TestFactorReport:
         pair = family_pair(0.2501, 0.25, 0.0, 0.0)
         assert criteria.factor_report(pair.p1, pair.p2, tol=1e-3).concurrence == 0.0
         assert criteria.factor_report(pair.p1, pair.p2).concurrence is None
+
+    def test_product_psd_within_tol_gets_a_concurrence(self):
+        # The product's outer block is 5e-8 short of PSD: within tol=1e-6.
+        p1 = np.eye(4, dtype=complex) / 4.0
+        p2 = np.eye(4, dtype=complex)
+        p2[0, 3] = p2[3, 0] = 1.0 + 4e-7
+        report = criteria.factor_report(p1, p2, tol=1e-6)
+        a = linalg.mul(p1, p2).tolist()
+        assert report.concurrence == xstate.x_concurrence(
+            a[0][0].real, a[1][1].real, a[2][2].real, a[3][3].real, abs(a[0][3]), abs(a[1][2]))
+        assert report.concurrence == pytest.approx(2e-7, rel=1e-6)
+
+    def test_positivity_is_not_checked(self):
+        # P2's corner 1.5 makes P2 and the product indefinite (the product's
+        # smallest eigenvalue is -0.125); the product is X shaped of trace 1.
+        p1 = np.eye(4, dtype=complex) / 4.0
+        p2 = np.eye(4, dtype=complex)
+        p2[0, 3] = p2[3, 0] = 1.5
+        report = criteria.factor_report(p1, p2)
+        assert report.concurrence == 2.0 * (0.375 - 0.25)
+        assert not report.ppt
 
     def test_consistency_grid(self):
         # on the equality family every point is satisfied, PPT and unentangled

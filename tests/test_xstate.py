@@ -266,6 +266,53 @@ class TestConcurrence:
             assert xstate.concurrence(xstate.product_state(params)) == 0.0
 
 
+    def test_family_concurrence_is_x_concurrence_bit_for_bit(self, rng):
+        # t1*t1 and t2*t2 leave the float range at these scales.
+        for t1, t2 in 10.0 ** rng.uniform(-300, 300, size=(10_000, 2)):
+            params = XParams.symmetric(t1, t2, random_unit_disc(rng), random_unit_disc(rng))
+            t1, t2, a1, a2 = params.t1, params.t2, abs(params.v1), abs(params.v2)
+            got = xstate.family_concurrence(params)
+            assert got == xstate.x_concurrence(t1, t2, t2, t1, t1 * a1, t2 * a2)
+            assert got == 2.0 * max(0.0, t2 * a2 - t1, t1 * a1 - t2)
+
+
+class TestBlockRoots:
+    """sqrt(d11 d44) and sqrt(d22 d33) where the product leaves the float range."""
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-170, 1e170, 1e300])
+    def test_root_of_a_square_is_exact(self, t):
+        assert xstate.x_concurrence(t, 0.0, 0.0, t, 0.0, 2.0 * t) == 2.0 * t
+        assert xstate.x_concurrence(0.0, t, t, 0.0, 2.0 * t, 0.0) == 2.0 * t
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_scaled_by_a_power_of_two_keeps_its_bits(self, rng, k):
+        for a, b in 10.0 ** rng.uniform(-100, 100, size=(2000, 2)):
+            root = xstate._sqrt_product(math.ldexp(a, k), math.ldexp(b, k))
+            assert root == math.ldexp(math.sqrt(a * b), k)
+
+    @pytest.mark.parametrize("a, b", [(-1e-200, 1e-200), (1e-200, -1e-200), (-1.0, 1.0), (0.0, 1e300)])
+    def test_nonpositive_product_gives_zero(self, a, b):
+        assert xstate._sqrt_product(a, b) == 0.0
+
+
+class TestMatrixConcurrence:
+    def test_none_unless_4x4_x_shaped_of_trace_one(self):
+        mixed = np.eye(4, dtype=complex) / 4.0
+        assert xstate.matrix_concurrence(mixed, 1e-10) == 0.0
+        assert xstate.matrix_concurrence(np.eye(9, dtype=complex) / 9.0, 1e-10) is None
+        dense = mixed.copy()
+        dense[0, 1] = dense[1, 0] = 1e-3
+        assert xstate.matrix_concurrence(dense, 1e-10) is None
+        assert xstate.matrix_concurrence(dense, 1e-3) == 0.0
+        assert xstate.matrix_concurrence(mixed * 1.001, 1e-10) is None
+        assert xstate.matrix_concurrence(mixed * 1.001, 1e-2) == 0.0
+
+    def test_equals_concurrence_of_the_x_matrix(self, rng):
+        for _ in range(200):
+            x = xstate.product_state(random_symmetric_params(rng, normalized=True))
+            assert xstate.matrix_concurrence(x.matrix(), 1e-10) == xstate.concurrence(x)
+
+
 class TestZeroConcurrenceRegion:
     def test_equal_weights_entire_square(self, rng):
         for _ in range(50):
