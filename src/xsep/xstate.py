@@ -33,9 +33,6 @@ from .errors import InvalidParams
 # abs(complex(cos t, sin t)) stays within a few ulps of 1.
 _V_BOUND_SLACK = 4 * sys.float_info.epsilon
 
-# Slack on the 2x2 block PSD inequalities of an X matrix.
-_PSD_SLACK = 1e-10
-
 
 def _check_finite(value: complex, name: str) -> None:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -93,12 +90,14 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class XMatrix:
-    """A Hermitian X-shaped 4x4 matrix.
+    """A Hermitian X-shaped 4x4 matrix, as the record of its entries.
 
-    Nonzero entries live on the diagonal (d11..d44, nonnegative) and the
+    Nonzero entries live on the diagonal (d11..d44, real) and the
     antidiagonal (c14 at (0,3), c23 at (1,2), conjugates mirrored). The
-    two 2x2 blocks must be positive semi-definite: d11*d44 >= |c14|^2 and
-    d22*d33 >= |c23|^2, up to a small slack.
+    entries need only be finite, so the record also holds matrices that are
+    not PSD, such as the partial transpose of an entangled state. Positivity
+    is decided by `criteria.validate_density` and the trace by `concurrence`,
+    each under the caller's tol.
     """
 
     d11: float
@@ -111,16 +110,12 @@ class XMatrix:
     def __post_init__(self):
         for name in ("d11", "d22", "d33", "d44"):
             d = float(getattr(self, name))
-            if not math.isfinite(d):
-                raise InvalidParams(f"{name} must be finite, got {d!r}")
-            if d < -_PSD_SLACK:
-                raise InvalidParams(f"diagonal entry {name} must be nonnegative, got {d}")
+            _check_finite(d, name)
             object.__setattr__(self, name, d)
         for name in ("c14", "c23"):
             c = complex(getattr(self, name))
             _check_finite(c, name)
             object.__setattr__(self, name, c)
-        check_x_blocks(self.d11, self.d22, self.d33, self.d44, abs(self.c14), abs(self.c23))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -135,15 +130,15 @@ class XMatrix:
     def trace(self) -> float:
         return self.d11 + self.d22 + self.d33 + self.d44
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.trace - 1.0) <= tol
-
     @classmethod
     def from_matrix(cls, a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> "XMatrix":
-        """Read an X matrix off a dense 4x4 array; rejects non-X shapes."""
+        """Read an X matrix off a finite 4x4 array, X shaped and Hermitian within tol."""
         a = np.asarray(a, dtype=complex)
         if a.shape != (4, 4):
             raise InvalidParams(f"an X matrix is 4x4, got shape {a.shape}")
+        where = linalg.nonfinite_entries(a)
+        if where:
+            raise InvalidParams(f"matrix has non-finite entries at {where}")
         if not is_x_shaped(a, tol):
             raise InvalidParams("matrix is not X shaped within tolerance")
         defect, _ = linalg.hermiticity_defect(a)
@@ -185,8 +180,9 @@ def product_state(params: XParams) -> XMatrix:
     """The X-shaped product P1 @ P2 for symmetric parameters.
 
     Requires t3 = t2 and t4 = t1; without that symmetry the product is
-    not Hermitian and cannot be an XMatrix. Normalization (t1 + t2 = 1/2)
-    is not enforced here; `concurrence` checks it where it matters.
+    not Hermitian and cannot be an XMatrix. It is PSD by construction, since
+    `XParams` holds |v1|, |v2| <= 1. Normalization (t1 + t2 = 1/2) is not
+    enforced here; `concurrence` checks the trace under its tol.
     """
     if not params.is_symmetric:
         raise InvalidParams(
@@ -202,27 +198,10 @@ def product_state(params: XParams) -> XMatrix:
 # NumPy's per-call overhead; the sweep calls them once per distinct modulus.
 
 
-def check_x_blocks(d11, d22, d33, d44, abs_c14, abs_c23) -> None:
-    """Raise InvalidParams unless both 2x2 blocks are PSD up to a small slack.
-
-    The blocks are PSD iff d11*d44 >= |c14|^2 and d22*d33 >= |c23|^2.
-    """
-    for label, dd, c in (("outer block not PSD: d11*d44 < |c14|^2", d11 * d44, abs_c14),
-                         ("inner block not PSD: d22*d33 < |c23|^2", d22 * d33, abs_c23)):
-        if dd < c * c - _PSD_SLACK:
-            raise InvalidParams(f"{label} ({dd} < {c * c})")
-
-
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
     """The four eigenvalues of an X matrix, sorted descending: those of its two 2x2 blocks."""
     w = linalg.hermitian_2x2(x.d11, x.d44, x.c14) + linalg.hermitian_2x2(x.d22, x.d33, x.c23)
     return np.array(sorted(w, reverse=True))
-
-
-def x_min_eigenvalue(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
-    """Smallest eigenvalue of an X matrix: the lower of its blocks' lower eigenvalues."""
-    return min(linalg.hermitian_2x2(d11, d44, abs_c14)[1],
-               linalg.hermitian_2x2(d22, d33, abs_c23)[1])
 
 
 def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
@@ -263,13 +242,13 @@ def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     return x_concurrence(d11.real, d22.real, d33.real, d44.real, abs(c14), abs(c23))
 
 
-def concurrence(x: XMatrix, trace_tol: float = 1e-9) -> float:
+def concurrence(x: XMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
     """Concurrence of a normalized X state, by `x_concurrence`.
 
-    Zero exactly for separable states. Raises unless the trace is 1
-    within `trace_tol`.
+    Zero exactly for separable states. Raises unless the trace is 1 within
+    tol, the test `matrix_concurrence` makes; positivity is the caller's.
     """
-    if abs(x.trace - 1.0) > trace_tol:
+    if abs(x.trace - 1.0) > tol:
         raise InvalidParams(f"concurrence needs a normalized state, trace is {x.trace!r}")
     return x_concurrence(x.d11, x.d22, x.d33, x.d44, abs(x.c14), abs(x.c23))
 

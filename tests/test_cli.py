@@ -128,8 +128,8 @@ class TestAnalyze:
         assert "trace check failed" in capsys.readouterr().err
 
     def test_state_accepted_under_tol_is_not_checked_again(self, tmp_path, capsys):
-        # Its smallest eigenvalue is -5e-8, within --tol 1e-6, but the outer
-        # block fails the fixed 1e-10 slack of XMatrix's PSD check (exit 3).
+        # Its smallest eigenvalue is -5e-8, within --tol 1e-6: positivity is
+        # decided once, by validate_density, and the concurrence is read as is.
         src = tmp_path / "x.json"
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 3] = rho[3, 0] = 0.25 + 5e-8

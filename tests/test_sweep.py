@@ -51,7 +51,8 @@ def reference_rows(t1, grid, literal, phase1, phase2):
             conc = xstate.concurrence(state)
             # The partial transpose swaps the corners; the column is its
             # smallest eigenvalue on the corner moduli.
-            min_pt = xstate.x_min_eigenvalue(0.25, 0.25, 0.25, 0.25, abs(v2 / 4.0), abs(v1 / 4.0))
+            pt = XMatrix(0.25, 0.25, 0.25, 0.25, c14=abs(v2 / 4.0), c23=abs(v1 / 4.0))
+            min_pt = xstate.x_eigenvalues(pt)[-1]
             satisfied = "true" if lhs <= rhs else "false"
             yield (
                 f"{fmt(v1a)},{fmt(v2a)},{fmt(lhs)},{fmt(rhs)},"

@@ -1,12 +1,14 @@
 """Unit tests for the X-state family, spectra and concurrence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from xsep import criteria, linalg, xstate
-from xsep.errors import InvalidParams
+from xsep.bipartite import partial_transpose
+from xsep.errors import InvalidParams, NotDensityMatrix
 from xsep.xstate import XMatrix, XParams
 
 from conftest import random_unit_disc, random_x_matrix
@@ -98,7 +100,7 @@ class TestProductState:
         assert np.array_equal(np.diag(m), np.full(4, 0.25, dtype=complex))
         assert m[0, 3] == v1 / 4.0
         assert m[1, 2] == v2 / 4.0
-        assert x.is_normalized()
+        assert x.trace == 1.0
 
     def test_corner_case_spectrum(self):
         # t1 = 1/2, t2 = 0, v1 = 1: eigenvalues {1, 0, 0, 0}
@@ -122,9 +124,40 @@ class TestProductState:
 
 
 class TestXMatrix:
-    def test_rejects_non_psd_block(self):
-        with pytest.raises(InvalidParams, match="outer"):
-            XMatrix(0.1, 0.3, 0.3, 0.1, c14=0.2, c23=0j)
+    def test_holds_a_non_psd_block_that_validate_density_rejects(self):
+        x = XMatrix(0.25, 0.25, 0.25, 0.25, c14=0.3, c23=-0.1j)
+        assert xstate.x_eigenvalues(x)[-1] < 0.0
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(x.matrix(), (2, 2))
+        assert err.value.check == "positivity"
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(InvalidParams, match="d33 must be finite"):
+            XMatrix(0.25, 0.25, float("nan"), 0.25, 0j, 0j)
+        with pytest.raises(InvalidParams, match="c14 must be finite"):
+            XMatrix(0.25, 0.25, 0.25, 0.25, complex(0.0, float("inf")), 0j)
+
+    @pytest.mark.parametrize("value, entries", [
+        (float("inf"), ((0, 3), (3, 0))),
+        (float("nan"), ((0, 1),)),
+    ])
+    def test_from_matrix_reports_non_finite_entries_before_hermiticity(self, value, entries):
+        # Checked first: inf - inf in the Hermiticity defect would warn, and a
+        # NaN off the X would be reported as a shape error.
+        m = np.eye(4, dtype=complex) / 4.0
+        for i, j in entries:
+            m[i, j] = value
+        where = ", ".join(f"({i},{j})" for i, j in entries)
+        with pytest.raises(InvalidParams, match=re.escape(f"non-finite entries at {where}") + "$"):
+            XMatrix.from_matrix(m)
+
+    def test_from_matrix_takes_what_validate_density_accepts_under_tol(self):
+        # Its smallest eigenvalue is -1e-7: a PSD state within tol = 1e-6.
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 3] = m[3, 0] = 0.25 * (1 + 4e-7)
+        assert np.array_equal(XMatrix.from_matrix(m, 1e-6).matrix(), m)
+        density = criteria.validate_density(m, (2, 2), 1e-6)
+        assert -1e-6 <= density.min_eigenvalue < 0.0
 
     def test_from_matrix_round_trip(self, rng):
         from conftest import random_x_matrix
@@ -151,6 +184,14 @@ class TestXEigenvalues:
         assert np.max(np.abs(w - expected)) < 1e-15
         # the set contains t1(1-|v1|) and t2(1-|v2|)
         assert abs(w[2] - 0.15) < 1e-15 and abs(w[3] - 0.12) < 1e-15
+
+    def test_bell_partial_transpose(self):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+        pt = partial_transpose(bell, (2, 2))
+        w = xstate.x_eigenvalues(XMatrix.from_matrix(pt))
+        assert w.tolist() == [0.5, 0.5, 0.5, -0.5]
+        assert w.tobytes() == linalg.hermitian_eigenvalues(pt).tobytes()
 
     def test_counterexample_zero_modes(self):
         x = XMatrix.from_matrix(criteria.counterexample_state())
@@ -180,10 +221,11 @@ class TestOneClosedForm:
     """The X spectra are those of `linalg.hermitian_2x2`, bit for bit."""
 
     def test_eigenvalues_equal_the_general_solver(self, rng):
-        # Bit for bit, on the matrix as drawn and scaled by 10**U(-150, 150).
+        # Bit for bit, on the matrix as drawn, scaled by 10**U(-150, 150), and
+        # partially transposed, which is often not PSD.
         for _ in range(2000):
             m = random_x_with_zero_corners(rng).matrix()
-            for a in (m, m * 10.0 ** rng.uniform(-150, 150)):
+            for a in (m, m * 10.0 ** rng.uniform(-150, 150), partial_transpose(m, (2, 2))):
                 x = XMatrix(*(a[k, k].real for k in range(4)), c14=a[0, 3], c23=a[1, 2])
                 got, want = xstate.x_eigenvalues(x), linalg.hermitian_eigenvalues(a)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -192,13 +234,11 @@ class TestOneClosedForm:
         for _ in range(2000):
             x = random_x_with_zero_corners(rng)
             moduli = (abs(x.c14), abs(x.c23))
-            real = XMatrix(x.d11, x.d22, x.d33, x.d44, *moduli).matrix()
-            low = xstate.x_min_eigenvalue(x.d11, x.d22, x.d33, x.d44, *moduli)
-            assert low == linalg.hermitian_eigenvalues(real)[-1]
+            real = XMatrix(x.d11, x.d22, x.d33, x.d44, *moduli)
+            low = xstate.x_eigenvalues(real)[-1]
+            assert low == linalg.hermitian_eigenvalues(real.matrix())[-1]
 
     def test_zero_corners_give_the_diagonal(self):
-        assert xstate.x_min_eigenvalue(0.3, 0.2, 0.2, 0.3, 0.0, 0.0) == 0.2
-        assert xstate.x_min_eigenvalue(0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
         assert linalg.hermitian_2x2(0.3, 0.2, 0j) == (0.3, 0.2)
         assert linalg.hermitian_2x2(0.0, 0.0, 0j) == (0.0, 0.0)
 
@@ -226,15 +266,6 @@ class TestScalarForms:
     def test_scalar_inputs_stay_python_floats(self):
         x = XMatrix(0.3, 0.2, 0.2, 0.3, c14=0.1, c23=0.05j)
         assert type(xstate.concurrence(x)) is float
-        assert type(xstate.x_min_eigenvalue(0.3, 0.2, 0.2, 0.3, 0.1, 0.05)) is float
-
-    def test_block_check(self):
-        for m14 in (0.0, 0.1, 0.25):
-            xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, m14, 0.25 - m14)
-        with pytest.raises(InvalidParams, match=r"inner block.*\(0\.0625 < 0\.09"):
-            xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, 0.1, 0.3)
-        with pytest.raises(InvalidParams, match="outer block"):
-            xstate.check_x_blocks(0.25, 0.25, 0.25, 0.25, 0.3, 0.1)
 
 
 class TestConcurrence:
@@ -246,6 +277,15 @@ class TestConcurrence:
         x = xstate.product_state(XParams.symmetric(0.3, 0.3, 0j, 0j))
         with pytest.raises(InvalidParams, match="normalized"):
             xstate.concurrence(x)
+
+    def test_trace_decided_under_tol_as_matrix_concurrence_does(self):
+        x = XMatrix(0.1 + 1e-9, 0.4, 0.4, 0.1, c14=0.05, c23=0.35)
+        with pytest.raises(InvalidParams, match="normalized"):
+            xstate.concurrence(x)
+        assert xstate.matrix_concurrence(x.matrix(), linalg.DEFAULT_TOL) is None
+        conc = xstate.concurrence(x, 1e-8)
+        assert conc == xstate.matrix_concurrence(x.matrix(), 1e-8)
+        assert abs(conc - 0.5) < 1e-8
 
     def test_family_closed_form(self, rng):
         for _ in range(500):
