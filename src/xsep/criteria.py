@@ -79,14 +79,6 @@ def _evaluate(p1: np.ndarray, p2: np.ndarray, dims: BipartiteDims) -> tuple[np.n
     return prod_pt - linalg.mul(p1_pt, p2_pt), prod, prod_pt, p1_pt, p2_pt
 
 
-def _evaluate_two_qubits(p1: np.ndarray, p2: np.ndarray, needs: str) -> tuple[np.ndarray, ...]:
-    """`_evaluate` on a 4x4 pair; otherwise DimensionMismatch, worded `needs`."""
-    p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
-    if p1.shape != (4, 4) or p2.shape != (4, 4):
-        raise DimensionMismatch(f"{needs} 4x4 factors, got {p1.shape} and {p2.shape}")
-    return _evaluate(p1, p2, TWO_QUBITS)
-
-
 def pt_gap(p1: np.ndarray, p2: np.ndarray, dims) -> np.ndarray:
     """(P1 P2)^G - P1^G P2^G."""
     return _evaluate(p1, p2, BipartiteDims.of(dims))[0]
@@ -113,7 +105,7 @@ def _real_det(a: np.ndarray, name: str) -> float:
     d = linalg.det(a)
     if not (math.isfinite(d.real) and math.isfinite(d.imag)):
         raise InvalidParams(f"det({name}) overflows: got {d!r}")
-    if abs(d.imag) > 1e-10 * (1.0 + abs(d)):
+    if abs(d.imag) > DEFAULT_TOL * (1.0 + abs(d)):
         raise InvalidParams(
             f"det({name}) = {d!r} has a significant imaginary part; "
             "the determinant criteria expect Hermitian-symmetric factors"
@@ -121,22 +113,19 @@ def _real_det(a: np.ndarray, name: str) -> float:
     return d.real
 
 
-def det_inequality_sides(p1: np.ndarray, p2: np.ndarray, dims) -> tuple[float, float]:
-    """Determinant products (D1, D2) of the partially transposed factors."""
-    dims = BipartiteDims.of(dims)
-    d1 = _real_det(partial_transpose(p1, dims), "p1^G")
-    d2 = _real_det(partial_transpose(p2, dims), "p2^G")
-    return d1, d2
-
-
 def theorem2_lhs(prod: float) -> float:
     """Left side 81 D^3 + 512 D of the two-qubit inequality, D = D1 D2, of a Python float."""
     return 81.0 * prod ** 3 + 512.0 * prod
 
 
-def _inequality(lhs_of: Callable[[float, float], float], d1: float, d2: float,
+def _theorem2_lhs_of(d1: float, d2: float) -> float:
+    return theorem2_lhs(d1 * d2)
+
+
+def _inequality(p1_pt: np.ndarray, p2_pt: np.ndarray, lhs_of: Callable[[float, float], float],
                 rhs: float) -> InequalityCheck:
-    """The verdict lhs_of(d1, d2) <= rhs; InvalidParams if the left side overflows."""
+    """The verdict lhs_of(D1, D2) <= rhs, D_i = det(P_i^G); InvalidParams if a side overflows."""
+    d1, d2 = _real_det(p1_pt, "p1^G"), _real_det(p2_pt, "p2^G")
     try:
         lhs = lhs_of(d1, d2)
     except OverflowError:
@@ -144,12 +133,6 @@ def _inequality(lhs_of: Callable[[float, float], float], d1: float, d2: float,
     if not math.isfinite(lhs):
         raise InvalidParams(f"the inequality's left side overflows at D1 = {d1!r}, D2 = {d2!r}")
     return InequalityCheck(lhs, rhs, lhs <= rhs)
-
-
-def _theorem2(p1_pt: np.ndarray, p2_pt: np.ndarray) -> InequalityCheck:
-    """The two-qubit inequality on det(P1^G) and det(P2^G)."""
-    d1, d2 = _real_det(p1_pt, "p1^G"), _real_det(p2_pt, "p2^G")
-    return _inequality(lambda d1, d2: theorem2_lhs(d1 * d2), d1, d2, THEOREM2_RHS)
 
 
 def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> InequalityCheck:
@@ -163,14 +146,14 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
     so the gap norm is checked first; a satisfied verdict is a sufficient
     condition for separability of the 4x4 product state, never necessary.
     """
-    gap, _, _, p1_pt, p2_pt = _evaluate_two_qubits(p1, p2, "two-qubit criterion needs")
+    gap, _, _, p1_pt, p2_pt = _evaluate(p1, p2, TWO_QUBITS)
     gap_norm = linalg.frobenius_norm(gap)
     if gap_norm > tol:
         raise EqualityHypothesisError(
             f"factor pair violates the transposition equality (gap norm "
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
         )
-    return _theorem2(p1_pt, p2_pt)
+    return _inequality(p1_pt, p2_pt, _theorem2_lhs_of, THEOREM2_RHS)
 
 
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
@@ -190,18 +173,11 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
             f"criterion requires subsystem dimensions m, n >= 3, got "
             f"({dims.m}, {dims.n})"
         )
-    p1, p2 = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
-    if p1.shape != (dims.total, dims.total) or p2.shape != p1.shape:
-        raise DimensionMismatch(
-            f"factors must be {dims.total}x{dims.total} for dims ({dims.m},{dims.n})"
-        )
     n = dims.n
-    d1, d2 = det_inequality_sides(p1, p2, dims)
-    rhs = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
     return _inequality(
+        partial_transpose(p1, dims), partial_transpose(p2, dims),
         lambda d1, d2: (n - 1.0) ** n * (d1 ** 3) * (d2 ** 3) + 2.0 * float(n) ** n * d1 * d2,
-        d1, d2, rhs,
-    )
+        float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0))
 
 
 class DensityReport(NamedTuple):
@@ -216,14 +192,17 @@ class DensityReport(NamedTuple):
 def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> DensityReport:
     """Check that rho is a density matrix, then take the PPT verdict.
 
-    Finiteness, then Hermiticity, unit trace and positivity are checked in
-    that order, the last three within tol; the first that fails raises
-    NotDensityMatrix naming it.
+    A misshapen rho raises DimensionMismatch. Then finiteness, Hermiticity,
+    unit trace and positivity are checked in that order, the last three
+    within tol; the first that fails raises NotDensityMatrix naming it.
     For 2x2 and 2x3 systems PPT decides separability exactly; in larger
     dimensions it only reports the PPT property.
     """
     dims = BipartiteDims.of(dims)
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dims.total, dims.total):
+        raise DimensionMismatch(f"a {dims.m}x{dims.n} state is {dims.total}x{dims.total}, "
+                                f"got shape {rho.shape}")
     where = linalg.nonfinite_entries(rho)
     if where:
         raise NotDensityMatrix(
@@ -290,14 +269,14 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     pair and of the product is not checked: a product that is not PSD still
     gets its `ppt`, `min_pt_eigenvalue` and concurrence values.
     """
-    gap, prod, prod_pt, p1_pt, p2_pt = _evaluate_two_qubits(p1, p2, "report is defined for")
+    gap, prod, prod_pt, p1_pt, p2_pt = _evaluate(p1, p2, TWO_QUBITS)
     gap_norm = linalg.frobenius_norm(gap)
     try:
         gap_eigs = linalg.hermitian_eigenvalues(gap, tol)
     except NotHermitian:
         gap_eigs = None
     min_pt = linalg.min_eigenvalue(prod_pt, tol)
-    theorem2 = _theorem2(p1_pt, p2_pt)
+    theorem2 = _inequality(p1_pt, p2_pt, _theorem2_lhs_of, THEOREM2_RHS)
     return CriterionReport(
         gap_frobenius=gap_norm,
         gap_eigenvalues=gap_eigs,

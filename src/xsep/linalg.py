@@ -7,9 +7,10 @@ row list: permuting the indices makes the matrix block diagonal (an X
 matrix is two 2x2 blocks, a connected matrix one). 1x1 and 2x2 blocks
 are solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form,
 exact to a few ulps, which `xstate` uses too); larger ones go to cyclic
-Jacobi rotations on the block scaled by a power of two, or to LU with
-partial pivoting, both on lists of Python complex. Jacobi rotates the
-strict upper triangle alone, keeping the diagonal as a list of floats.
+Jacobi rotations or to LU with partial pivoting, both on lists of Python
+complex. Jacobi, and LU's retry past the float range, share one block
+scaled by a power of two, `_scaled_block` of the row list. Jacobi rotates
+the strict upper triangle alone, keeping the diagonal as a list of floats.
 The factors of every determinant block make one product, kept as a
 mantissa and an exponent. A matrix is checked (finite, Hermitian within
 tol) once: `hermitian_eigenvalues` is the check followed by
@@ -137,15 +138,6 @@ def _times_pow2(x: float, e: int) -> float:
     return 2.0 * x * math.ldexp(1.0, e - 1)
 
 
-def _times_pow2_array(a: np.ndarray, e: int) -> np.ndarray:
-    """A contiguous complex array times 2**e, as a new array; exact in range.
-
-    ldexp acts on the interleaved real and imaginary parts: 2**e itself is
-    out of range when a is deep in the subnormals or near the float maximum.
-    """
-    return np.ldexp(a.view(np.float64), e).view(complex)
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     """Square root of the sum of squared entry magnitudes.
 
@@ -168,13 +160,23 @@ def det(a: np.ndarray) -> complex:
     for idx in _components(rows):
         block = _block_factors(rows, idx)
         if not all(map(cmath.isfinite, block)):
-            m = [[rows[i][j] for j in idx] for i in idx]
-            s = math.frexp(max(abs(x) for row in m for w in row for x in (w.real, w.imag)))[1]
-            m = [[complex(math.ldexp(w.real, -s), math.ldexp(w.imag, -s)) for w in r] for r in m]
-            block = _block_factors(m, range(len(idx)))
+            s = math.frexp(max(abs(x) for i in idx for j in idx
+                               for x in (rows[i][j].real, rows[i][j].imag)))[1]
+            block = _block_factors(_scaled_block(rows, idx, s), range(len(idx)))
             e += len(idx) * s
         factors += block
     return _product(factors, e)
+
+
+def _scaled_block(rows: list[list[complex]], idx: list[int], e: int) -> list[list[complex]]:
+    """The block of `rows` on the indices idx times 2**-e, as new rows; exact in range.
+
+    ldexp acts on each real and imaginary part: 2**-e itself is out of range
+    when the block is deep in the subnormals or near the float maximum. In
+    range, a spectrum or determinant scaled back has the unscaled run's bits.
+    """
+    return [[complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
+             for w in map(row.__getitem__, idx)] for row in map(rows.__getitem__, idx)]
 
 
 def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[complex]:
@@ -314,18 +316,17 @@ def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     return (big, other) if big >= other else (other, big)
 
 
-def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
-    """Eigenvalues of an exactly Hermitian matrix by cyclic Jacobi rotations.
+def _jacobi_spectrum(a: list[list[complex]], thresh: float) -> list[float]:
+    """Eigenvalues of an exactly Hermitian matrix, as its row list, by cyclic Jacobi rotations.
 
     Sweeps stop once every off-diagonal magnitude is at most `thresh`. The
     work runs on lists of Python complex, where a rotation of a matrix of
-    order <= 16 costs less than the NumPy calls that would make it. Only
-    the strict upper triangle of h is read and rotated: an entry below the
-    diagonal is never needed, as it is the conjugate of its mirror. The
-    diagonal is a list of floats, updated from the rotation alone
-    (Rutishauser's form).
+    order <= 16 costs less than the NumPy calls that would make it; the rows
+    are rotated in place. Only the strict upper triangle is read and rotated:
+    an entry below the diagonal is never needed, as it is the conjugate of
+    its mirror. The diagonal is a list of floats, updated from the rotation
+    alone (Rutishauser's form).
     """
-    a = h.tolist()
     n = len(a)
     d = [a[k][k].real for k in range(n)]
     if n == 1:
@@ -387,19 +388,6 @@ def _jacobi_spectrum(h: np.ndarray, thresh: float) -> list[float]:
     raise ArithmeticError("Jacobi eigensolver did not converge")
 
 
-def _scaled_jacobi(h: np.ndarray, idx: list[int]) -> list[float]:
-    """Jacobi eigenvalues of the block of h on `idx`, under JACOBI_RTOL * ||h||_F.
-
-    Both run in `_scaled_norm`'s units, h times the power of two 2**-e that
-    brings its largest entry near 1, so the threshold cannot underflow to 0
-    on a tiny h. The scaling is exact: in range the eigenvalues have the
-    bits of the unscaled run.
-    """
-    r, e = _scaled_norm(h)
-    block = _times_pow2_array(h.take(idx, 0).take(idx, 1), -e)
-    return [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
-
-
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, sorted descending.
 
@@ -407,7 +395,8 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     mismatch); degenerate eigenvalues are reported with multiplicity. Each
     block of the zero pattern is solved on its own: 1x1 and 2x2 blocks in
     closed form, larger ones by Jacobi under the whole matrix's threshold
-    JACOBI_RTOL * ||a||_F.
+    JACOBI_RTOL * ||a||_F, in `_scaled_norm`'s units so that on a tiny `a`
+    it does not underflow to 0.
     """
     return _hermitian_spectrum(_require_hermitian(as_matrix(a, name="eigensolver input"), tol))
 
@@ -423,7 +412,9 @@ def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
             i, j = idx
             w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
         else:
-            w += _scaled_jacobi(h, idx)
+            r, e = _scaled_norm(h)
+            block = _scaled_block(rows, idx, e)
+            w += [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
     return np.sort(w)[::-1].copy()
 
 

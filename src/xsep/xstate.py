@@ -19,7 +19,6 @@ for 2x2 Hermitian blocks: an X matrix is two such blocks. The concurrence is
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,9 +33,16 @@ from .errors import InvalidParams
 _V_BOUND_SLACK = 4 * sys.float_info.epsilon
 
 
-def _check_finite(value: complex, name: str) -> None:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InvalidParams(f"{name} must be finite, got {value!r}")
+def _checked(value, name: str, real: bool) -> complex | float:
+    """value as a finite complex or, if real, a finite float: its imaginary part must be 0."""
+    z = complex(value)
+    if real:
+        if z.imag != 0.0:
+            raise InvalidParams(f"{name} must be real, got {value!r}")
+        z = z.real
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidParams(f"{name} must be finite, got {z!r}")
+    return z
 
 
 @dataclass(frozen=True)
@@ -57,15 +63,12 @@ class XParams:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3", "t4"):
-            t = float(getattr(self, name))
-            if not math.isfinite(t):
-                raise InvalidParams(f"{name} must be finite, got {t!r}")
+            t = _checked(getattr(self, name), name, real=True)
             if t < 0:
                 raise InvalidParams(f"{name} must be nonnegative, got {t}")
             object.__setattr__(self, name, t)
         for name in ("v1", "v2"):
-            v = complex(getattr(self, name))
-            _check_finite(v, name)
+            v = _checked(getattr(self, name), name, real=False)
             if abs(v) > 1.0 + _V_BOUND_SLACK:
                 raise InvalidParams(f"|{name}| must be <= 1, got {abs(v)}")
             object.__setattr__(self, name, v)
@@ -109,13 +112,9 @@ class XMatrix:
 
     def __post_init__(self):
         for name in ("d11", "d22", "d33", "d44"):
-            d = float(getattr(self, name))
-            _check_finite(d, name)
-            object.__setattr__(self, name, d)
+            object.__setattr__(self, name, _checked(getattr(self, name), name, real=True))
         for name in ("c14", "c23"):
-            c = complex(getattr(self, name))
-            _check_finite(c, name)
-            object.__setattr__(self, name, c)
+            object.__setattr__(self, name, _checked(getattr(self, name), name, real=False))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -149,22 +148,13 @@ class XMatrix:
 
 
 def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
-    """True iff every entry off the diagonal and antidiagonal is below tol."""
+    """True iff a is square and every entry off its diagonal and antidiagonal is at most tol."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool((np.abs(a[_off_x_mask(a.shape[0])]) <= tol).all())
-
-
-@functools.lru_cache(maxsize=16)
-def _off_x_mask(n: int) -> np.ndarray:
-    """Read-only boolean mask of the entries of an n x n matrix off its diagonal and antidiagonal."""
-    mask = np.ones((n, n), dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx, n - 1 - idx] = False
-    mask.flags.writeable = False
-    return mask
+    last = len(a) - 1
+    return all(abs(z) <= tol for i, row in enumerate(a.tolist())
+               for j, z in enumerate(row) if j != i and i + j != last)
 
 
 def build_factors(params: XParams) -> FactorPair:

@@ -31,6 +31,11 @@ def family_pair(t1, t2, v1, v2):
     return xstate.build_factors(XParams.symmetric(t1, t2, v1, v2))
 
 
+def pt_determinants(pair):
+    """(D1, D2): the real parts of det(P1^G) and det(P2^G) on two qubits."""
+    return tuple(linalg.det(partial_transpose(p, DIMS22)).real for p in (pair.p1, pair.p2))
+
+
 class TestPtGap:
     def test_zero_for_equal_weights(self, rng):
         for _ in range(20):
@@ -202,7 +207,7 @@ class TestTheorem2:
     def test_check_and_report_share_the_left_side(self, rng):
         for _ in range(20):
             pair = family_pair(0.25, 0.25, random_unit_disc(rng), random_unit_disc(rng))
-            d1, d2 = criteria.det_inequality_sides(pair.p1, pair.p2, DIMS22)
+            d1, d2 = pt_determinants(pair)
             lhs = criteria.theorem2_lhs(d1 * d2)
             assert criteria.theorem2_check(pair.p1, pair.p2).lhs == lhs
             assert criteria.factor_report(pair.p1, pair.p2).theorem2_lhs == lhs
@@ -256,6 +261,11 @@ class TestCorollary1:
         with pytest.raises(InvalidParams, match="overflows"):
             criteria.corollary1_check(big, big, (3, 3))
 
+    def test_rejects_factors_of_the_wrong_order(self):
+        # partial_transpose is the one shape check: P2 is not 9x9.
+        with pytest.raises(DimensionMismatch):
+            criteria.corollary1_check(np.eye(9), np.eye(16), (3, 3))
+
     def test_rejects_small_subsystems(self):
         with pytest.raises(InvalidParams, match=">= 3"):
             criteria.corollary1_check(np.eye(6, dtype=complex), np.eye(6, dtype=complex), (2, 3))
@@ -289,6 +299,14 @@ class TestPptVerdict:
 
 
 class TestValidateDensity:
+    @pytest.mark.parametrize("rho", [np.ones((2, 3)), np.ones(4), np.eye(9)],
+                             ids=["not-square", "one-dimensional", "wrong-order"])
+    @pytest.mark.parametrize("check", [criteria.validate_density, criteria.ppt_verdict])
+    def test_shape_is_checked_first(self, check, rho):
+        # eye(9) would fail the trace check; the shape is checked before it.
+        with pytest.raises(DimensionMismatch, match=r"is 4x4, got shape"):
+            check(rho, DIMS22)
+
     def test_bell_spectrum(self):
         bell = np.zeros((4, 4), dtype=complex)
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
@@ -438,6 +456,13 @@ class TestFactorReport:
             a[0][0].real, a[1][1].real, a[2][2].real, a[3][3].real, abs(a[0][3]), abs(a[1][2]))
         assert report.concurrence == pytest.approx(2e-7, rel=1e-6)
 
+    @pytest.mark.parametrize("p1, p2", [(np.eye(9), np.eye(9)), (np.eye(4), np.eye(3))],
+                             ids=["9x9", "4x4-and-3x3"])
+    def test_rejects_wrong_size(self, p1, p2):
+        # partial_transpose (9x9 on two qubits) or mul (unequal orders) rejects it.
+        with pytest.raises(DimensionMismatch):
+            criteria.factor_report(p1, p2)
+
     def test_positivity_is_not_checked(self):
         # P2's corner 1.5 makes P2 and the product indefinite (the product's
         # smallest eigenvalue is -0.125); the product is X shaped of trace 1.
@@ -534,7 +559,7 @@ class TestSharedEvaluation:
             density = criteria.validate_density(rho, DIMS22)
             assert report.min_pt_eigenvalue == density.min_pt_eigenvalue
             assert report.ppt == density.ppt
-            d1, d2 = criteria.det_inequality_sides(pair.p1, pair.p2, DIMS22)
+            d1, d2 = pt_determinants(pair)
             assert report.theorem2_lhs == criteria.theorem2_lhs(d1 * d2)
             if equal:
                 assert report.equality_holds

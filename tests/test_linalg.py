@@ -500,8 +500,9 @@ class TestDenseJacobi:
         thresh = linalg.JACOBI_RTOL * linalg.frobenius_norm(h)
         dirty = h.copy()
         dirty[np.tril_indices(n, -1)] = np.nan
-        want = linalg._jacobi_spectrum(h, thresh)
-        assert np.array(linalg._jacobi_spectrum(dirty, thresh)).tobytes() == np.array(want).tobytes()
+        want = linalg._jacobi_spectrum(h.tolist(), thresh)
+        got = linalg._jacobi_spectrum(dirty.tolist(), thresh)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_sweep_limit_raises(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 0)

@@ -47,6 +47,16 @@ class TestXParams:
         with pytest.raises(InvalidParams):
             XParams(1, 1, 1, 1, complex(float("inf"), 0), 0j)
 
+    def test_takes_a_complex_weight_with_zero_imaginary_part(self):
+        for t in (0.25 + 0j, np.complex128(0.25)):
+            p = XParams(0.25, t, 0.25, 0.25, 0j, 0j)
+            assert type(p.t2) is float and p.t2 == 0.25
+
+    @pytest.mark.parametrize("t", [0.25 + 1e-3j, np.complex128(0.25 + 1j), 0.25j])
+    def test_rejects_a_complex_weight_naming_it(self, t):
+        with pytest.raises(InvalidParams, match=r"^t3 must be real, got "):
+            XParams(0.25, 0.25, t, 0.25, 0j, 0j)
+
     def test_symmetric_constructor(self):
         p = XParams.symmetric(0.3, 0.2, 0.5j, 0.1)
         assert (p.t3, p.t4) == (0.2, 0.3)
@@ -137,6 +147,16 @@ class TestXMatrix:
         with pytest.raises(InvalidParams, match="c14 must be finite"):
             XMatrix(0.25, 0.25, 0.25, 0.25, complex(0.0, float("inf")), 0j)
 
+    def test_takes_a_complex_diagonal_with_zero_imaginary_part(self):
+        x = XMatrix(0.25 + 0j, np.complex128(0.25), 0.25, 0.25, 0j, 0j)
+        assert [type(d) for d in (x.d11, x.d22)] == [float, float]
+        assert x == XMatrix(0.25, 0.25, 0.25, 0.25, 0j, 0j)
+
+    @pytest.mark.parametrize("d", [0.25 + 1e-3j, np.complex128(0.25 + 1j), complex(0.25, math.nan)])
+    def test_rejects_a_complex_diagonal_naming_it(self, d):
+        with pytest.raises(InvalidParams, match=r"^d22 must be real, got "):
+            XMatrix(0.25, d, 0.25, 0.25, 0j, 0j)
+
     @pytest.mark.parametrize("value, entries", [
         (float("inf"), ((0, 3), (3, 0))),
         (float("nan"), ((0, 1),)),
@@ -170,6 +190,33 @@ class TestXMatrix:
 
         with pytest.raises(InvalidParams, match="X shaped"):
             XMatrix.from_matrix(random_hermitian(rng, 4))
+
+
+class TestIsXShaped:
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cell_by_cell(self, n):
+        # An odd n has its centre on both diagonals. Entries on the X may be
+        # anything; off it, at most tol in modulus and not NaN.
+        base = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            base[i, i] = base[i, n - 1 - i] = 3.0 - 2.0j
+        assert xstate.is_x_shaped(base, self.TOL)
+        above = np.nextafter(self.TOL, np.inf)
+        for i in range(n):
+            for j in range(n):
+                on_x = j == i or i + j == n - 1
+                for value, off_x_ok in ((self.TOL, True), (-1j * self.TOL, True),
+                                        (above, False), (1j * above, False),
+                                        (math.nan, False), (1e300, False)):
+                    a = base.copy()
+                    a[i, j] = value
+                    assert xstate.is_x_shaped(a, self.TOL) is (on_x or off_x_ok), (i, j, value)
+
+    @pytest.mark.parametrize("a", [np.zeros((4, 3)), np.zeros(4)], ids=["non-square", "1-D"])
+    def test_not_square_is_not_x_shaped(self, a):
+        assert xstate.is_x_shaped(a, self.TOL) is False
 
 
 class TestXEigenvalues:
