@@ -9,11 +9,15 @@ permutes blocks, i.e. it transposes over the second subsystem:
 
 `pt_first` is the complementary operator over the first subsystem.
 Both are pure entry permutations, defined for any square matrix whose
-dimension factors as m*n (not only density matrices).
+dimension factors as m*n (not only density matrices). Each (m, n) and
+subsystem has one flat permutation, built once and cached: an operator is
+one `take` of it, which makes the one copy of the result, and
+`_transposed_rows` applies the same permutation to a row list.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -61,7 +65,7 @@ class BipartiteDims:
         return cls(m, n)
 
 
-def _blocks(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
+def _square(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
     dims = BipartiteDims.of(dims)
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -71,13 +75,38 @@ def _blocks(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
             f"matrix dimension {a.shape[0]} does not match "
             f"{dims.m}x{dims.n} subsystems"
         )
-    return a.reshape(dims.m, dims.n, dims.m, dims.n), dims
+    return a, dims
+
+
+@functools.lru_cache(maxsize=64)
+def _permutation(m: int, n: int, first: bool) -> np.ndarray:
+    """Flat source index of each entry of the partial transpose, as a read-only (mn, mn) array.
+
+    Over the second subsystem result[(i,j), (k,l)] = a[(i,l), (k,j)]; over
+    the first, a[(k,j), (i,l)].
+    """
+    axes = (2, 1, 0, 3) if first else (0, 3, 2, 1)
+    perm = np.arange((m * n) ** 2).reshape(m, n, m, n).transpose(axes).reshape(m * n, m * n)
+    perm.flags.writeable = False
+    return perm
+
+
+@functools.lru_cache(maxsize=64)
+def _row_getters(m: int, n: int) -> list[operator.itemgetter]:
+    """One itemgetter per row of `_permutation(m, n, False)`, for a flat row list."""
+    return [operator.itemgetter(*row) for row in _permutation(m, n, False).tolist()]
 
 
 def partial_transpose(a: np.ndarray, dims) -> np.ndarray:
     """Transpose each n x n block in place (transposition over the second subsystem)."""
-    grid, dims = _blocks(a, dims)
-    return grid.transpose(0, 3, 2, 1).reshape(dims.total, dims.total).copy()
+    a, dims = _square(a, dims)
+    return a.take(_permutation(dims.m, dims.n, False))
+
+
+def _transposed_rows(rows: list[list[complex]], dims: BipartiteDims) -> list[tuple[complex, ...]]:
+    """`partial_transpose` of a (dims.total)-square row list, as rows (tuples); not checked."""
+    flat = [z for row in rows for z in row]
+    return [get(flat) for get in _row_getters(dims.m, dims.n)]
 
 
 def pt_first(a: np.ndarray, dims) -> np.ndarray:
@@ -86,5 +115,5 @@ def pt_first(a: np.ndarray, dims) -> np.ndarray:
     The two one-sided transpositions compose to the global transpose, so
     this equals transpose(partial_transpose(a)) and partial_transpose(transpose(a)).
     """
-    grid, dims = _blocks(a, dims)
-    return grid.transpose(2, 1, 0, 3).reshape(dims.total, dims.total).copy()
+    a, dims = _square(a, dims)
+    return a.take(_permutation(dims.m, dims.n, True))

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import linalg, xstate
+from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import (
     DimensionMismatch,
@@ -96,8 +96,8 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     definite; False is inconclusive. Raises XsepError on a non-finite entry
     and NotHermitian if A is not Hermitian within tol.
     """
-    a = linalg.as_matrix(a, name="Tarazaga test input")
-    linalg._require_hermitian(a, tol)
+    linalg._checked_rows(a, tol, "Tarazaga test input")
+    a = np.asarray(a, dtype=complex)
     return linalg.trace(a).real > math.sqrt(a.shape[0] - 1) * linalg.frobenius_norm(a)
 
 
@@ -208,7 +208,7 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
         raise NotDensityMatrix(
             f"finiteness check failed: non-finite entries at {where}", check="finiteness"
         )
-    defect, (i, j) = linalg.hermiticity_defect(rho)
+    defect, (i, j), h = linalg._hermitian_rows(rho.tolist())
     if defect > tol:
         raise NotDensityMatrix(
             f"hermiticity check failed: entries ({i},{j})/({j},{i}) differ by {defect:.3e}",
@@ -217,17 +217,16 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
     tr = linalg.trace(rho)
     if abs(tr - 1.0) > tol:
         raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
-    # rho was checked above; neither spectrum checks again. The partial
-    # transpose of the symmetrised rho has the bits of the symmetrised partial
+    # h, the symmetrised rho, is exactly Hermitian; neither spectrum checks
+    # again. The partial transpose of h has the bits of the symmetrised partial
     # transpose of rho, and rho's Hermiticity defect.
-    h = linalg._hermitian_part(rho)
-    lowest = float(linalg._hermitian_spectrum(h)[-1])
+    lowest = linalg._spectrum(h)[-1]
     if lowest < -tol:
         raise NotDensityMatrix(
             f"positivity check failed: smallest eigenvalue {lowest:.3e}",
             check="positivity",
         )
-    min_pt = float(linalg._hermitian_spectrum(partial_transpose(h, dims))[-1])
+    min_pt = linalg._spectrum(bipartite._transposed_rows(h, dims))[-1]
     return DensityReport(tr.real, lowest, min_pt, min_pt >= -tol)
 
 

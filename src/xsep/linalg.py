@@ -1,29 +1,39 @@
 """Dense complex matrix arithmetic and spectral routines.
 
-Everything operates on square complex numpy arrays of modest dimension
-(the package never needs more than ~16). Spectra and determinants loop
-over the blocks of the zero pattern, found as bitmasks on the matrix's
-row list: permuting the indices makes the matrix block diagonal (an X
-matrix is two 2x2 blocks, a connected matrix one). 1x1 and 2x2 blocks
-are solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form,
-exact to a few ulps, which `xstate` uses too); larger ones go to cyclic
-Jacobi rotations or to LU with partial pivoting, both on lists of Python
-complex. Jacobi, and LU's retry past the float range, share one block
-scaled by a power of two, `_scaled_block` of the row list. Jacobi rotates
-the strict upper triangle alone, keeping the diagonal as a list of floats.
-The factors of every determinant block make one product, kept as a
-mantissa and an exponent. A matrix is checked (finite, Hermitian within
-tol) once: `hermitian_eigenvalues` is the check followed by
-`_hermitian_spectrum`, which callers holding an already checked,
-symmetrised matrix may call directly. Nothing uses an installed LAPACK.
+Everything operates on square complex matrices of modest dimension (the
+package never needs more than ~16). A matrix crosses from NumPy to Python
+once, as its row list (`a.tolist()`); the checks, the split and the
+solvers then work on lists of Python complex. `_hermitian_rows` is the one
+pass over the row list that measures the Hermiticity defect and builds the
+symmetrised rows (a + a^H)/2; `hermitian_eigenvalues`, `hermiticity_defect`
+and the density checks of `criteria` all go through it.
+
+Spectra and determinants loop over the blocks of the zero pattern, found as
+bitmasks on the row list: permuting the indices makes the matrix block
+diagonal (an X matrix is two 2x2 blocks, a connected matrix one). The split
+depends on which entries are exactly zero and on nothing else, so it is
+memoised in a bounded cache keyed on the tuple of row bitmasks: the pattern
+alone, never the values. The memo pays because the verdict path sees few
+patterns; each of its spectra and determinants has the X pattern, or the
+all-zero pattern of a vanishing gap. A matrix with no zero in row 0, as any
+dense one, is one block and never reaches the memo. 1x1 and 2x2 blocks are
+solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form, exact
+to a few ulps, which `xstate` uses too); larger ones go to cyclic Jacobi
+rotations or to LU with partial pivoting. Jacobi, and LU's retry past the
+float range, share one block scaled by a power of two, `_scaled_block` of
+the row list. Jacobi rotates the strict upper triangle alone, keeping the
+diagonal as a list of floats. The factors of every determinant block make
+one product, kept as a mantissa and an exponent.
+Nothing uses an installed LAPACK.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -37,6 +47,14 @@ DEFAULT_TOL = 1e-10
 JACOBI_RTOL = 1e-13
 
 _MAX_JACOBI_SWEEPS = 100
+
+# Entries of the split memo: distinct zero patterns, each a few hundred bytes.
+_SPLIT_MEMO = 256
+
+# 0.5 as a complex: NumPy's 0.5 * a promotes 0.5 to complex128 and multiplies
+# in full, and so does this constant in every Python version (CPython 3.14
+# no longer promotes a float operand).
+_HALF = 0.5 + 0j
 
 # Dekker's splitter 2**27 + 1: cuts a double into two halves whose products are exact.
 _SPLIT = 134217729.0
@@ -70,21 +88,30 @@ def _components(rows: list[list[complex]]) -> list[list[int]]:
 
     Takes the matrix as its row list (`a.tolist()`). Only exact zeros
     split; a row 0 without a zero entry settles a single component at once.
-    Otherwise the components are bitmasks, bit j for index j, kept disjoint:
-    row i's mask, i and every j with a[i][j] != 0, absorbs each mask it
-    meets. An entry joins its row and column whichever side of the diagonal
-    it is on, which is the pattern of a | a.T. The components come out in
-    order of their smallest index. Permuting the indices component by
-    component makes `a` block diagonal, and each component is solved as one
-    block: a connected 2x2 matrix takes the closed form.
+    Otherwise row i's bitmask (bit j set iff a[i][j] != 0) keys the memo of
+    `_split`. The lists returned may be shared with later calls: read only.
     """
-    n = len(rows)
     if all(rows[0]):
-        return [list(range(n))]
-    bits = [1 << j for j in range(n)]
+        return [list(range(len(rows)))]
+    return _split(tuple(map(sum, map(compress, repeat(_order(len(rows))[0]), rows))))
+
+
+@functools.lru_cache(maxsize=_SPLIT_MEMO)
+def _split(row_masks: tuple[int, ...]) -> list[list[int]]:
+    """The components of the pattern whose row i has the bitmask row_masks[i].
+
+    The components are bitmasks, bit j for index j, kept disjoint: row i's
+    mask, with bit i added, absorbs each mask it meets. An entry joins its
+    row and column whichever side of the diagonal it is on, which is the
+    pattern of a | a.T. The components come out in order of their smallest
+    index. Permuting the indices component by component makes `a` block
+    diagonal, and each component is solved as one block: a connected 2x2
+    matrix takes the closed form.
+    """
+    bits = _order(len(row_masks))[0]
     masks = []
-    for bit, row in zip(bits, rows):
-        joined = bit | sum(compress(bits, row))
+    for bit, row_mask in zip(bits, row_masks):
+        joined = bit | row_mask
         apart = []
         for mask in masks:
             if mask & joined:
@@ -118,15 +145,18 @@ def trace(a: np.ndarray) -> complex:
     return complex(np.asarray(a).trace())
 
 
-def _scaled_norm(a: np.ndarray) -> tuple[float, int]:
-    """(r, e) with ||a||_F = r * 2**e, e the exponent of the largest entry magnitude.
+def _scaled_norm(a) -> tuple[float, int]:
+    """(r, e) with ||a||_F = r * 2**e, e the exponent of the largest real or imaginary part.
 
-    The magnitudes are scaled by 2**-e, which brings the largest near 1,
-    before they are squared, so no square overflows or underflows.
+    The parts are scaled by 2**-e, which brings the largest near 1, before
+    the moduli are taken and squared, so that none overflows, not even a
+    modulus past the float maximum. In range the scaled moduli are the
+    unscaled ones times 2**-e, exactly. Takes an array or a row list.
     """
-    m = np.abs(np.asarray(a))
-    e = math.frexp(float(m.max(initial=0.0)))[1]
-    return math.sqrt(np.square(np.ldexp(m, -e)).sum()), e
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    m = np.abs(np.ldexp(parts, -e).view(complex))
+    return math.sqrt(np.square(m).sum()), e
 
 
 def _times_pow2(x: float, e: int) -> float:
@@ -243,33 +273,71 @@ def _product(factors: list[complex], e: int) -> complex:
         return complex(*(x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) for x in (z.real, z.imag + 0.0)))
 
 
-def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest |a[i,j] - conj(a[j,i])| and the entry pair achieving it."""
-    a = np.asarray(a, dtype=complex)
-    d = np.abs(a - a.conj().T)
-    i, j = divmod(int(d.argmax()), len(d))
-    return float(d[i, j]), (i, j)
+@functools.lru_cache(maxsize=64)
+def _order(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Index lists of an order-n matrix flattened row-major.
 
-
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2, exactly Hermitian.
-
-    Each term is halved before the sum, so entries near the float maximum
-    do not overflow.
+    The bit 1 << j of each index j, the flat index of each entry of the
+    transpose, and the flat indices of the entries on and above the diagonal.
     """
-    return 0.5 * a + 0.5 * a.conj().T
+    return ([1 << j for j in range(n)],
+            [j * n + i for i in range(n) for j in range(n)],
+            [i * n + j for i in range(n) for j in range(i, n)])
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
-    """`_hermitian_part(a)`, after raising NotHermitian if the defect exceeds tol."""
-    defect, (i, j) = hermiticity_defect(a)
+def _hermitian_rows(rows: list[list[complex]]) -> tuple[float, tuple[int, int], list[list[complex]]]:
+    """One pass over a finite square row list: its Hermiticity defect, the pair, and (a + a^H)/2.
+
+    The defect is the largest |a[i][j] - conj(a[j][i])|, the pair the first
+    (i, j) in row-major order that reaches it; |a[j][i] - conj(a[i][j])| is
+    the same modulus, so only the entries on and above the diagonal are
+    measured. The moduli are abs(), C's hypot, on every host (NumPy's
+    complex absolute is a SIMD kernel on some, an ulp away); one past the
+    float maximum is inf, not an OverflowError, as in NumPy. The symmetrised
+    rows are 0.5 * a + 0.5 * a^H: each term is halved before the sum, so
+    entries near the float maximum do not overflow, and each entry has the
+    bits of NumPy's expression on the same matrix (up to the sign of a zero
+    made from a part of +-2**-1074, which NumPy may halve in a fused
+    multiply-add). The work is a few C-level maps over the flat row list.
+    """
+    n = len(rows)
+    _, transposed, upper = _order(n)
+    flat = list(chain.from_iterable(rows))
+    adjoint = list(map(complex.conjugate, map(flat.__getitem__, transposed)))  # a^H, flat
+    h = list(map(add, map(_HALF.__mul__, flat), map(_HALF.__mul__, adjoint)))
+    diffs = list(map(sub, map(flat.__getitem__, upper), map(adjoint.__getitem__, upper)))
+    try:
+        gaps = list(map(abs, diffs))
+    except OverflowError:
+        gaps = list(map(_modulus, diffs))
+    defect = max(gaps)
+    return defect, divmod(upper[gaps.index(defect)], n), [h[k:k + n] for k in range(0, n * n, n)]
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where it passes the float maximum."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest |a[i,j] - conj(a[j,i])| of a finite square matrix and the entry pair achieving it."""
+    defect, pair, _ = _hermitian_rows(np.asarray(a, dtype=complex).tolist())
+    return defect, pair
+
+
+def _checked_rows(a, tol: float, name: str) -> list[list[complex]]:
+    """The rows of (a + a^H)/2, after `as_matrix` and NotHermitian if a's defect exceeds tol."""
+    defect, (i, j), h = _hermitian_rows(as_matrix(a, name=name).tolist())
     if defect > tol:
         raise NotHermitian(
             f"not Hermitian: entries ({i},{j}) and ({j},{i}) differ by "
             f"{defect:.3e} (tol {tol:.3e})",
             pair=(i, j),
         )
-    return _hermitian_part(a)
+    return h
 
 
 def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
@@ -392,30 +460,45 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray
     """All real eigenvalues of a Hermitian matrix, sorted descending.
 
     The input must be finite and Hermitian within `tol` (largest entry
-    mismatch); degenerate eigenvalues are reported with multiplicity. Each
-    block of the zero pattern is solved on its own: 1x1 and 2x2 blocks in
-    closed form, larger ones by Jacobi under the whole matrix's threshold
-    JACOBI_RTOL * ||a||_F, in `_scaled_norm`'s units so that on a tiny `a`
+    mismatch); degenerate eigenvalues are reported with multiplicity. The
+    spectrum is that of the symmetrised rows, `_spectrum`.
+    """
+    return np.array(_spectrum(_checked_rows(a, tol, "eigensolver input")))
+
+
+def _spectrum(h: list[list[complex]]) -> list[float]:
+    """The eigenvalues of the finite, exactly Hermitian row list h, descending; h is not checked.
+
+    Each block of the zero pattern is solved on its own: 1x1 and 2x2 blocks
+    in closed form, larger ones by Jacobi under the whole matrix's threshold
+    JACOBI_RTOL * ||h||_F, in `_scaled_norm`'s units so that on a tiny `h`
     it does not underflow to 0.
     """
-    return _hermitian_spectrum(_require_hermitian(as_matrix(a, name="eigensolver input"), tol))
-
-
-def _hermitian_spectrum(h: np.ndarray) -> np.ndarray:
-    """`hermitian_eigenvalues` of a finite, exactly Hermitian h, which is not checked."""
-    rows = h.tolist()
     w = []
-    for idx in _components(rows):
+    for idx in _components(h):
         if len(idx) == 1:
-            w.append(rows[idx[0]][idx[0]].real)
+            w.append(h[idx[0]][idx[0]].real)
         elif len(idx) == 2:
             i, j = idx
-            w += hermitian_2x2(rows[i][i].real, rows[j][j].real, rows[i][j])
+            w += hermitian_2x2(h[i][i].real, h[j][j].real, h[i][j])
         else:
             r, e = _scaled_norm(h)
-            block = _scaled_block(rows, idx, e)
+            block = _scaled_block(h, idx, e)
             w += [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
-    return np.sort(w)[::-1].copy()
+    return _descending(w)
+
+
+def _descending(w: list[float]) -> list[float]:
+    """w sorted descending, in the order `np.sort(w)[::-1]` gives.
+
+    Equal floats have equal bits, except 0.0 and -0.0, whose order NumPy's
+    sort leaves to its kernel (SIMD kernels do not keep it stable): a list
+    holding both takes NumPy's sort, and any other is sorted in place.
+    """
+    if 0.0 in w and len({math.copysign(1.0, x) for x in w if x == 0.0}) == 2:
+        return np.sort(w)[::-1].tolist()
+    w.sort(reverse=True)
+    return w
 
 
 def min_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -159,10 +159,10 @@ def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
 
 def build_factors(params: XParams) -> FactorPair:
     """Assemble the factor pair (P1, P2) from validated parameters."""
-    p1 = np.diag(np.array([params.t1, params.t2, params.t3, params.t4], dtype=complex))
-    v1, v2 = params.v1, params.v2
-    p2 = np.eye(4, dtype=complex)
-    p2[0, 3], p2[3, 0], p2[1, 2], p2[2, 1] = v1, v1.conjugate(), v2, v2.conjugate()
+    t1, t2, t3, t4, v1, v2 = params.t1, params.t2, params.t3, params.t4, params.v1, params.v2
+    p1 = np.array([[t1, 0, 0, 0], [0, t2, 0, 0], [0, 0, t3, 0], [0, 0, 0, t4]], dtype=complex)
+    p2 = np.array([[1, 0, 0, v1], [0, 1, v2, 0], [0, v2.conjugate(), 1, 0],
+                   [v1.conjugate(), 0, 0, 1]], dtype=complex)
     return FactorPair(p1=p1, p2=p2)
 
 

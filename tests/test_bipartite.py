@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xsep import linalg, xstate
+from xsep import bipartite, linalg, xstate
 from xsep.bipartite import BipartiteDims, partial_transpose, pt_first
 from xsep.errors import DimensionMismatch, InvalidParams
 
@@ -154,3 +154,56 @@ class TestPtFirst:
             w1 = linalg.hermitian_eigenvalues(pt_first(h, (2, 3)))
             w2 = linalg.hermitian_eigenvalues(partial_transpose(h, (2, 3)))
             assert np.max(np.abs(w1 - w2)) < 1e-10
+
+
+def reshape_transpose(a, dims, first):
+    """The reference: a (m, n, m, n) view with its block axes swapped, back to a matrix."""
+    m, n = dims
+    axes = (2, 1, 0, 3) if first else (0, 3, 2, 1)
+    return np.asarray(a, dtype=complex).reshape(m, n, m, n).transpose(axes).reshape(m * n, m * n)
+
+
+class TestCachedPermutation:
+    DIMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4))
+
+    @staticmethod
+    def layouts(a):
+        """The same matrix C-ordered, Fortran-ordered, as a strided view, real and as nested lists."""
+        wide = np.zeros((len(a), 2 * len(a)), dtype=complex)
+        wide[:, ::2] = a
+        return {
+            "C": a,
+            "Fortran": np.asfortranarray(a),
+            "strided": wide[:, ::2],
+            "real": a.real.copy(),
+            "lists": a.tolist(),
+        }
+
+    @pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
+    def test_matches_reshape_transpose_on_every_layout(self, rng, first):
+        op = pt_first if first else partial_transpose
+        for dims in self.DIMS:
+            a = random_complex(rng, dims[0] * dims[1])
+            for name, x in self.layouts(a).items():
+                got = op(x, dims)
+                ref = reshape_transpose(x, dims, first)
+                assert got.dtype == complex and got.shape == ref.shape, name
+                assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), name
+                if isinstance(x, np.ndarray):
+                    assert not np.shares_memory(got, x), name
+
+    def test_result_is_fresh_and_writable(self, rng):
+        a = random_complex(rng, 4)
+        c = a.astype(complex)
+        for op in (partial_transpose, pt_first):
+            got = op(c, (2, 2))
+            got[0, 0] = 99.0
+            assert np.array_equal(c, a)
+            assert op(c, (2, 2))[0, 0] == a[0, 0]
+
+    def test_row_list_takes_the_same_permutation(self, rng):
+        for dims in self.DIMS:
+            d = dims[0] * dims[1]
+            a = random_hermitian(rng, d) * (rng.random((d, d)) < 0.5)
+            rows = bipartite._transposed_rows(a.tolist(), BipartiteDims.of(dims))
+            assert np.array(rows).tobytes() == partial_transpose(a, dims).tobytes()

@@ -352,6 +352,15 @@ class TestValidateDensity:
         assert err.value.check == check
         assert str(err.value) == message
 
+    def test_a_difference_past_the_float_maximum_fails_hermiticity(self):
+        # |rho[0, 1] - conj(rho[1, 0])| is 2.1e308: inf, not an OverflowError
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = 1.5e308 + 1.5e308j
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(rho, DIMS22)
+        assert err.value.check == "hermiticity"
+        assert str(err.value) == "hermiticity check failed: entries (0,1)/(1,0) differ by inf"
+
     def test_spectra_have_the_bits_of_the_checked_eigensolver(self, rng):
         # rho is checked once, then its symmetrised copy and that copy's
         # partial transpose are solved unchecked: the same bits as solving
@@ -516,14 +525,16 @@ class TestSharedEvaluation:
         assert counts == {"mul": 2, "partial_transpose": 3}
 
     def test_ppt_verdict_checks_hermiticity_of_rho_once(self, monkeypatch):
+        # The Hermiticity check is the row pass, which also symmetrises rho:
+        # one pass over rho's rows, and none over its partial transpose.
         seen = []
-        defect = linalg.hermiticity_defect
+        hermitian_rows = linalg._hermitian_rows
 
-        def counted_defect(a):
-            seen.append(np.array(a))
-            return defect(a)
+        def counted_pass(rows):
+            seen.append(np.array(rows))
+            return hermitian_rows(rows)
 
-        monkeypatch.setattr(linalg, "hermiticity_defect", counted_defect)
+        monkeypatch.setattr(linalg, "_hermitian_rows", counted_pass)
         pair = family_pair(0.25, 0.25, 0.6, 0.3j)
         rho = linalg.mul(pair.p1, pair.p2)
         assert criteria.ppt_verdict(rho, DIMS22)

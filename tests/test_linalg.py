@@ -3,6 +3,7 @@
 import cmath
 import decimal
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal
@@ -414,6 +415,142 @@ class TestHermitianEigenvalues:
             assert abs(f2 - np.sum(w ** 2)) < 1e-10 * max(1.0, f2)
 
 
+def row_pass_cases(rng):
+    """Seeded square matrices, n = 1..16: Hermitian, nearly Hermitian and not, dense and sparse.
+
+    Among them: exact-zero patterns, parts of both signs of zero, and scales
+    1e-300 and 1e300. No part is +-2**-1074, the one value whose half NumPy
+    may round inside a fused multiply-add.
+    """
+    for n in range(1, 17):
+        for scale in (1.0, 1e-300, 1e300):
+            g = random_complex(rng, n)
+            h = g + g.conj().T
+            near = h + 1e-12 * random_complex(rng, n)
+            sparse = h * (rng.random((n, n)) < 0.3)
+            signed = sparse.copy()
+            zeros = signed == 0
+            signed[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+            signed.imag[rng.random((n, n)) < 0.3] = -0.0
+            real = h.real.astype(complex)
+            for m in (g, h, near, sparse, signed, real, sparse * g):
+                yield m * scale
+
+
+class TestHermitianRows:
+    """The one pass against NumPy's expressions for the defect and the symmetrised matrix."""
+
+    @staticmethod
+    def numpy_defect(a):
+        # np.hypot is libm's hypot, the modulus CPython's abs() takes; NumPy's
+        # own complex absolute is a SIMD kernel on some hosts, an ulp away.
+        d = a - a.conj().T
+        moduli = np.hypot(d.real, d.imag)
+        i, j = divmod(int(moduli.argmax()), len(a))
+        return float(moduli[i, j]), (i, j)
+
+    def test_defect_and_rows_have_numpy_bits(self, rng):
+        for a in row_pass_cases(rng):
+            defect, pair, h = linalg._hermitian_rows(a.tolist())
+            ref_defect, ref_pair = self.numpy_defect(a)
+            assert np.array([defect]).tobytes() == np.array([ref_defect]).tobytes()
+            assert pair == ref_pair
+            assert np.array(h).tobytes() == (0.5 * a + 0.5 * a.conj().T).tobytes()
+            # NumPy's complex absolute agrees to an ulp or two
+            assert abs(defect - float(np.abs(a - a.conj().T).max())) <= 2 * math.ulp(defect)
+            assert linalg.hermiticity_defect(a) == (defect, pair)
+
+    def test_non_hermitian_raises_naming_the_first_pair(self, rng):
+        for a in row_pass_cases(rng):
+            defect, pair = self.numpy_defect(a)
+            if defect <= linalg.DEFAULT_TOL:
+                continue
+            i, j = pair
+            message = f"not Hermitian: entries ({i},{j}) and ({j},{i}) differ by {defect:.3e} "
+            with pytest.raises(NotHermitian, match="^" + re.escape(message)) as err:
+                linalg.hermitian_eigenvalues(a)
+            assert err.value.pair == pair
+
+    def test_a_difference_past_the_float_maximum_is_inf(self):
+        # abs(complex(1.5e308, 1.5e308)) raises OverflowError; the defect is inf
+        a = np.eye(3, dtype=complex)
+        a[0, 1] = 1.5e308 + 1.5e308j
+        assert linalg.hermiticity_defect(a) == (math.inf, (0, 1))
+        with pytest.raises(NotHermitian, match=r"differ by inf ") as err:
+            linalg.hermitian_eigenvalues(a)
+        assert err.value.pair == (0, 1)
+        with pytest.raises(NotHermitian, match=r"differ by inf "):
+            criteria.tarazaga_pd(a)
+
+    @pytest.mark.parametrize("blocks", [
+        [[-1.0, 1.0], [0.0]],
+        [[0.0], [-1.0, 1.0]],
+        [[0.0], [-1.0, 1.0], [0.0], [2.0, 2.0], [-3.0, 3.0]],
+        [[-1.0, 1.0], [-0.5, 0.5], [0.0], [0.0]],
+    ])
+    def test_signed_zeros_come_in_numpys_order(self, blocks):
+        # [[c, c], [c, c]] with c < 0 has the eigenvalues 2c and -0.0 (det / big);
+        # a 1x1 zero block has +0.0. The order of the two zeros is NumPy's sort's.
+        n = sum(len(b) for b in blocks)
+        m = np.zeros((n, n), dtype=complex)
+        w, k = [], 0
+        for b in blocks:
+            if len(b) == 1:
+                w.append(b[0])
+            else:
+                m[k:k + 2, k:k + 2] = b[0]
+                m[k, k + 1] = m[k + 1, k] = b[1]
+                w += linalg.hermitian_2x2(b[0], b[0], complex(b[1]))
+            k += len(b)
+        assert -0.0 in w and any(math.copysign(1.0, x) < 0 for x in w if x == 0.0)
+        got = linalg.hermitian_eigenvalues(m)
+        assert got.tobytes() == np.sort(np.array(w))[::-1].tobytes()
+
+    def test_one_zero_sign_sorts_in_python(self, rng):
+        for _ in range(200):
+            w = rng.choice([0.0, 1.0, -1.0, 0.5, 2.0], size=rng.integers(1, 17))
+            got = linalg.hermitian_eigenvalues(np.diag(w).astype(complex))
+            assert got.tobytes() == np.sort(w)[::-1].tobytes()
+
+
+class TestSplitMemo:
+    def test_same_pattern_new_values_get_their_own_spectra(self, rng):
+        first, second = random_x_matrix(rng), random_x_matrix(rng)
+        assert np.array_equal(first != 0, second != 0)
+        for m in (first, second, first):
+            got = linalg.hermitian_eigenvalues(m)
+            assert np.max(np.abs(got - x_spectrum_oracle(m))) <= 1e-14
+
+    def test_a_new_pattern_gets_its_own_split(self, rng):
+        x = random_x_matrix(rng)
+        assert linalg._components(x.tolist()) == [[0, 3], [1, 2]]
+        y = x.copy()
+        y[0, 1] = y[1, 0] = 0.1  # joins the blocks: one component
+        assert linalg._components(y.tolist()) == [[0, 1, 2, 3]]
+        z = x.copy()
+        z[1, 2] = z[2, 1] = 0.0  # splits the inner block
+        assert linalg._components(z.tolist()) == [[0, 3], [1], [2]]
+        assert linalg._components(x.tolist()) == [[0, 3], [1, 2]]
+        w = linalg.hermitian_eigenvalues(z)
+        assert np.max(np.abs(w - np.sort(np.linalg.eigvalsh(z))[::-1])) <= 1e-14
+
+    def test_memo_is_bounded(self, rng):
+        limit = linalg._split.cache_info().maxsize
+        assert limit is not None
+        for _ in range(2 * limit):
+            m = random_complex(rng, 12) * (rng.random((12, 12)) < 0.15)
+            m[0, 0] = 0.0  # row 0 has a zero: the split goes through the memo
+            linalg._components(m.tolist())
+        assert linalg._split.cache_info().currsize <= limit
+
+    def test_dense_input_never_reaches_the_memo(self, rng):
+        before = linalg._split.cache_info()
+        linalg.hermitian_eigenvalues(random_hermitian(rng, 9))
+        linalg.det(random_complex(rng, 16))
+        after = linalg._split.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def with_spectrum(rng, w):
     """Q diag(w) Q^H for a random unitary Q, made exactly Hermitian; no entry is zero."""
     q, _ = np.linalg.qr(random_complex(rng, len(w)))
@@ -702,6 +839,23 @@ class TestTwoByTwoAccuracy:
             assert np.all(np.isfinite(w))
             for got, ref in zip(w.tolist(), mp_x_eigenvalues(m)):
                 assert abs(got - ref) <= 4 * math.ulp(float(ref)), (got, ref)
+
+    def test_a_modulus_past_the_float_maximum(self):
+        # |h[0, 1]| = 2.1e308: the norm is scaled by the largest part, not the
+        # (overflowing) largest modulus, and Jacobi runs on the scaled block.
+        mpmath = pytest.importorskip("mpmath")
+        h = np.full((3, 3), 1.5e308, dtype=complex)
+        h[0, 1] = 1.5e308 + 1.5e308j
+        h[1, 0] = h[0, 1].conjugate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = linalg.hermitian_eigenvalues(h)
+        with mpmath.workdps(40):
+            ref = sorted(mpmath.eighe(mpmath.matrix(h.tolist()), eigvals_only=True), reverse=True)
+        assert ref[0] > sys.float_info.max and w[0] == math.inf
+        for got, want in zip(w.tolist()[1:], ref[1:]):
+            assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+        assert float(ref[1]) == pytest.approx(6.9121669e307) and float(ref[2]) == pytest.approx(-1.0126963e308)
 
     def test_entries_near_the_float_maximum(self):
         # a + a^H would overflow on the diagonal; the spectrum does not
