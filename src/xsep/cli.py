@@ -79,7 +79,10 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _resolve_dims(args, file_dims, dim: int) -> BipartiteDims:
+def _load_input(args) -> tuple:
+    """The input file's matrix, finite and square as `matfile.decode` checked it, and its split."""
+    matrix, file_dims = matfile.load(args.input)
+    dim = len(matrix)
     if (args.m is None) != (args.n is None):
         raise InvalidParams("--m and --n must be given together")
     if args.m is not None:
@@ -96,7 +99,7 @@ def _resolve_dims(args, file_dims, dim: int) -> BipartiteDims:
         raise DimensionMismatch(
             f"subsystem dimensions {dims.m}x{dims.n} do not match matrix dimension {dim}"
         )
-    return dims
+    return matrix, dims
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +107,14 @@ def _resolve_dims(args, file_dims, dim: int) -> BipartiteDims:
 
 
 def cmd_pt(args) -> int:
-    matrix, file_dims = matfile.load(args.input)
-    matrix = linalg.as_matrix(matrix, name="input matrix")
-    dims = _resolve_dims(args, file_dims, matrix.shape[0])
+    matrix, dims = _load_input(args)
     result = partial_transpose(matrix, dims)
     _write_text(args.out, matfile.encode(result, dims))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    matrix, file_dims = matfile.load(args.input)
-    matrix = linalg.as_matrix(matrix, name="input matrix")
-    dims = _resolve_dims(args, file_dims, matrix.shape[0])
+    matrix, dims = _load_input(args)
     density = criteria.validate_density(matrix, dims, args.tol)
     # The state passed validate_density under --tol; it is not checked again.
     conc = xstate.matrix_concurrence(matrix, args.tol)

@@ -489,15 +489,15 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
 
 
 def _descending(w: list[float]) -> list[float]:
-    """w sorted descending, in the order `np.sort(w)[::-1]` gives.
+    """w sorted descending in place, +0.0 before -0.0: one order on every host.
 
-    Equal floats have equal bits, except 0.0 and -0.0, whose order NumPy's
-    sort leaves to its kernel (SIMD kernels do not keep it stable): a list
-    holding both takes NumPy's sort, and any other is sorted in place.
+    Equal floats have equal bits, except 0.0 and -0.0, which compare equal:
+    a list holding both is sorted on (x, sign of x), any other on x alone.
     """
     if 0.0 in w and len({math.copysign(1.0, x) for x in w if x == 0.0}) == 2:
-        return np.sort(w)[::-1].tolist()
-    w.sort(reverse=True)
+        w.sort(key=lambda x: (x, math.copysign(1.0, x)), reverse=True)
+    else:
+        w.sort(reverse=True)
     return w
 
 

@@ -121,8 +121,8 @@ def counterexample():
 def bell_state():
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    yield "concurrence", xstate.concurrence(xstate.XMatrix.from_matrix(bell)), 1.0, _below(1e-14)
     density = criteria.validate_density(bell, criteria.TWO_QUBITS)
+    yield "concurrence", xstate.matrix_concurrence(bell, linalg.DEFAULT_TOL), 1.0, _below(1e-14)
     yield "min PT eigenvalue", density.min_pt_eigenvalue, -0.5, _below(1e-12)
     yield "ppt", density.ppt, False, 0.0
 

@@ -13,12 +13,14 @@ phased entries.
 
 The spectra come from `linalg.hermitian_2x2`, the package's one closed form
 for 2x2 Hermitian blocks: an X matrix is two such blocks. The concurrence is
-`x_concurrence` (Wootters 1998); `matrix_concurrence` alone reads it off a
-4x4 array, for `xsep analyze` and `criteria.factor_report` alike.
+`x_concurrence` (Wootters 1998); `matrix_concurrence` is the one reader of
+an X state off a 4x4 array, for `xsep analyze` and `criteria.factor_report`
+alike, and an `XMatrix` is built from its entries.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -100,7 +102,7 @@ class XMatrix:
     entries need only be finite, so the record also holds matrices that are
     not PSD, such as the partial transpose of an entangled state. Positivity
     is decided by `criteria.validate_density` and the trace by `concurrence`,
-    each under the caller's tol.
+    each under the caller's tol. `matrix_concurrence` reads an array.
     """
 
     d11: float
@@ -129,32 +131,18 @@ class XMatrix:
     def trace(self) -> float:
         return self.d11 + self.d22 + self.d33 + self.d44
 
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> "XMatrix":
-        """Read an X matrix off a finite 4x4 array, X shaped and Hermitian within tol."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (4, 4):
-            raise InvalidParams(f"an X matrix is 4x4, got shape {a.shape}")
-        where = linalg.nonfinite_entries(a)
-        if where:
-            raise InvalidParams(f"matrix has non-finite entries at {where}")
-        if not is_x_shaped(a, tol):
-            raise InvalidParams("matrix is not X shaped within tolerance")
-        defect, _ = linalg.hermiticity_defect(a)
-        if defect > tol:
-            raise InvalidParams(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
-        return cls(a[0, 0].real, a[1, 1].real, a[2, 2].real, a[3, 3].real,
-                   c14=complex(a[0, 3]), c23=complex(a[1, 2]))
+
+def _off_x_within(rows: list[list], tol: float) -> bool:
+    """True iff each entry of a square row list off its diagonal and antidiagonal has |z| <= tol."""
+    last = len(rows) - 1
+    return all(abs(z) <= tol for i, row in enumerate(rows)
+               for j, z in enumerate(row) if j != i and i + j != last)
 
 
 def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
     """True iff a is square and every entry off its diagonal and antidiagonal is at most tol."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    last = len(a) - 1
-    return all(abs(z) <= tol for i, row in enumerate(a.tolist())
-               for j, z in enumerate(row) if j != i and i + j != last)
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and _off_x_within(a.tolist(), tol)
 
 
 def build_factors(params: XParams) -> FactorPair:
@@ -220,15 +208,23 @@ def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
 
 
 def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
-    """`x_concurrence` of a 4x4 array X shaped and of trace 1 within tol, else None.
+    """`x_concurrence` of a finite 4x4 array X shaped and of trace 1 within tol, else None.
 
+    Its rows are read once. The trace is (d11 + d22) + (d33 + d44), the
+    order, and so the bits, of NumPy's trace of four complex entries.
     Hermiticity and positivity are the caller's to check: the diagonal is
     read by its real parts and the corners by their moduli.
     """
     a = np.asarray(a)
-    if a.shape != (4, 4) or not is_x_shaped(a, tol) or abs(linalg.trace(a) - 1.0) > tol:
+    if a.shape != (4, 4):
         return None
-    (d11, _, _, c14), (_, d22, c23, _), (_, _, d33, _), (_, _, _, d44) = a.tolist()
+    rows = a.tolist()
+    if not _off_x_within(rows, tol):
+        return None
+    (d11, _, _, c14), (_, d22, c23, _), (_, c32, d33, _), (c41, _, _, d44) = rows
+    if (not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41)))
+            or abs((d11 + d22) + (d33 + d44) - 1.0) > tol):
+        return None
     return x_concurrence(d11.real, d22.real, d33.real, d44.real, abs(c14), abs(c23))
 
 

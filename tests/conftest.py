@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from xsep.xstate import XMatrix
+
 
 @pytest.fixture
 def rng():
@@ -32,6 +34,11 @@ def random_x_matrix(rng):
     m[1, 2] = c23
     m[2, 1] = np.conj(c23)
     return m
+
+
+def x_record(m):
+    """The XMatrix of the X-shaped 4x4 array m, built from its diagonal and upper corners."""
+    return XMatrix(*(m[k, k].real for k in range(4)), c14=m[0, 3], c23=m[1, 2])
 
 
 def block_spectrum(d_hi, d_lo, corner):

@@ -433,6 +433,24 @@ def test_one_of_m_n_exit_3(command, flag, capsys):
     assert err == "error: --m and --n must be given together\n"
 
 
+@pytest.mark.parametrize("command", ["pt", "analyze"])
+@pytest.mark.parametrize("entries, message", [
+    ("[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]",
+     "entries must be a 2x2 array of [re, im] pairs, got shape (2, 3, 2)"),
+    ("[[[1, 0], [0, 0]], [[0, 0], [NaN, 0]]]", "entries contain non-finite numbers"),
+    ("[[[1, 0], [0, -Infinity]], [[0, 0], [1, 0]]]", "entries contain non-finite numbers"),
+    ("[[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]", "entries contain non-finite numbers"),
+], ids=["non-square", "nan", "inf", "overflow"])
+def test_bad_matrix_exits_2_from_decode(command, entries, message, tmp_path, capsys):
+    # matfile.decode is the input's one gate: no later check of shape or finiteness.
+    src = tmp_path / "m.json"
+    src.write_text(f'{{"dim": 2, "entries": {entries}}}')
+    assert main([command, str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()

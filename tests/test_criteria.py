@@ -18,7 +18,7 @@ from xsep.errors import (
 )
 from xsep.xstate import XParams
 
-from conftest import random_complex, random_hermitian, random_unit_disc
+from conftest import random_complex, random_hermitian, random_unit_disc, x_record
 
 DIMS22 = (2, 2)
 
@@ -494,7 +494,7 @@ class TestFactorReport:
                 assert check.satisfied
                 rho = linalg.mul(pair.p1, pair.p2)
                 assert criteria.ppt_verdict(rho, DIMS22, 1e-12)
-                assert xstate.concurrence(xstate.XMatrix.from_matrix(rho)) == 0.0
+                assert xstate.concurrence(x_record(rho)) == 0.0
         assert pair0.p1.shape == (4, 4)
 
 
@@ -541,14 +541,15 @@ class TestSharedEvaluation:
         assert len(seen) == 1 and np.array_equal(seen[0], rho)
 
     def test_factor_report_tests_the_x_shape_once(self, monkeypatch):
+        # The off-X test is the one predicate of is_x_shaped and matrix_concurrence.
         calls = []
-        is_x_shaped = xstate.is_x_shaped
+        off_x_within = xstate._off_x_within
 
-        def counted_is_x_shaped(a, tol=linalg.DEFAULT_TOL):
+        def counted_off_x_within(rows, tol):
             calls.append(tol)
-            return is_x_shaped(a, tol)
+            return off_x_within(rows, tol)
 
-        monkeypatch.setattr(xstate, "is_x_shaped", counted_is_x_shaped)
+        monkeypatch.setattr(xstate, "_off_x_within", counted_off_x_within)
         pair = family_pair(0.25, 0.25, 0.6, 0.3j)
         assert criteria.factor_report(pair.p1, pair.p2).concurrence == 0.0
         assert calls == [linalg.DEFAULT_TOL]

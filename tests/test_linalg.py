@@ -2,6 +2,7 @@
 
 import cmath
 import decimal
+import itertools
 import math
 import re
 import sys
@@ -490,21 +491,27 @@ class TestHermitianRows:
     ])
     def test_signed_zeros_come_in_numpys_order(self, blocks):
         # [[c, c], [c, c]] with c < 0 has the eigenvalues 2c and -0.0 (det / big);
-        # a 1x1 zero block has +0.0. The order of the two zeros is NumPy's sort's.
-        n = sum(len(b) for b in blocks)
-        m = np.zeros((n, n), dtype=complex)
-        w, k = [], 0
+        # a 1x1 zero block has +0.0. The spectrum is descending with every +0.0
+        # before every -0.0, the same bytes for each order of the blocks on every
+        # host (NumPy's SIMD sort orders the two zeros its own way on each).
+        w = []
         for b in blocks:
-            if len(b) == 1:
-                w.append(b[0])
-            else:
-                m[k:k + 2, k:k + 2] = b[0]
-                m[k, k + 1] = m[k + 1, k] = b[1]
-                w += linalg.hermitian_2x2(b[0], b[0], complex(b[1]))
-            k += len(b)
-        assert -0.0 in w and any(math.copysign(1.0, x) < 0 for x in w if x == 0.0)
-        got = linalg.hermitian_eigenvalues(m)
-        assert got.tobytes() == np.sort(np.array(w))[::-1].tobytes()
+            w += [b[0]] if len(b) == 1 else linalg.hermitian_2x2(b[0], b[0], complex(b[1]))
+        signs = [math.copysign(1.0, x) for x in w if x == 0.0]
+        assert 1.0 in signs and -1.0 in signs
+        want = np.array(sorted((x for x in w if x > 0.0), reverse=True)
+                        + [0.0] * signs.count(1.0) + [-0.0] * signs.count(-1.0)
+                        + sorted((x for x in w if x < 0.0), reverse=True))
+        for order in itertools.permutations(blocks):
+            n = sum(len(b) for b in order)
+            m = np.zeros((n, n), dtype=complex)
+            k = 0
+            for b in order:
+                if len(b) == 2:
+                    m[k:k + 2, k:k + 2] = b[0]
+                    m[k, k + 1] = m[k + 1, k] = b[1]
+                k += len(b)
+            assert linalg.hermitian_eigenvalues(m).tobytes() == want.tobytes(), order
 
     def test_one_zero_sign_sorts_in_python(self, rng):
         for _ in range(200):

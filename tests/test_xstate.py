@@ -1,7 +1,6 @@
 """Unit tests for the X-state family, spectra and concurrence."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from xsep.bipartite import partial_transpose
 from xsep.errors import InvalidParams, NotDensityMatrix
 from xsep.xstate import XMatrix, XParams
 
-from conftest import random_unit_disc, random_x_matrix
+from conftest import random_unit_disc, random_x_matrix, x_record
 
 
 def random_symmetric_params(rng, normalized=False):
@@ -157,40 +156,6 @@ class TestXMatrix:
         with pytest.raises(InvalidParams, match=r"^d22 must be real, got "):
             XMatrix(0.25, d, 0.25, 0.25, 0j, 0j)
 
-    @pytest.mark.parametrize("value, entries", [
-        (float("inf"), ((0, 3), (3, 0))),
-        (float("nan"), ((0, 1),)),
-    ])
-    def test_from_matrix_reports_non_finite_entries_before_hermiticity(self, value, entries):
-        # Checked first: inf - inf in the Hermiticity defect would warn, and a
-        # NaN off the X would be reported as a shape error.
-        m = np.eye(4, dtype=complex) / 4.0
-        for i, j in entries:
-            m[i, j] = value
-        where = ", ".join(f"({i},{j})" for i, j in entries)
-        with pytest.raises(InvalidParams, match=re.escape(f"non-finite entries at {where}") + "$"):
-            XMatrix.from_matrix(m)
-
-    def test_from_matrix_takes_what_validate_density_accepts_under_tol(self):
-        # Its smallest eigenvalue is -1e-7: a PSD state within tol = 1e-6.
-        m = np.eye(4, dtype=complex) / 4.0
-        m[0, 3] = m[3, 0] = 0.25 * (1 + 4e-7)
-        assert np.array_equal(XMatrix.from_matrix(m, 1e-6).matrix(), m)
-        density = criteria.validate_density(m, (2, 2), 1e-6)
-        assert -1e-6 <= density.min_eigenvalue < 0.0
-
-    def test_from_matrix_round_trip(self, rng):
-        from conftest import random_x_matrix
-
-        m = random_x_matrix(rng)
-        assert np.max(np.abs(XMatrix.from_matrix(m).matrix() - m)) < 1e-15
-
-    def test_from_matrix_rejects_dense(self, rng):
-        from conftest import random_hermitian
-
-        with pytest.raises(InvalidParams, match="X shaped"):
-            XMatrix.from_matrix(random_hermitian(rng, 4))
-
 
 class TestIsXShaped:
     TOL = 1e-10
@@ -198,21 +163,26 @@ class TestIsXShaped:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cell_by_cell(self, n):
         # An odd n has its centre on both diagonals. Entries on the X may be
-        # anything; off it, at most tol in modulus and not NaN.
-        base = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            base[i, i] = base[i, n - 1 - i] = 3.0 - 2.0j
-        assert xstate.is_x_shaped(base, self.TOL)
+        # anything; off it, at most tol in modulus and not NaN. A real array
+        # reads as its complex cast.
         above = np.nextafter(self.TOL, np.inf)
-        for i in range(n):
-            for j in range(n):
-                on_x = j == i or i + j == n - 1
-                for value, off_x_ok in ((self.TOL, True), (-1j * self.TOL, True),
-                                        (above, False), (1j * above, False),
-                                        (math.nan, False), (1e300, False)):
-                    a = base.copy()
-                    a[i, j] = value
-                    assert xstate.is_x_shaped(a, self.TOL) is (on_x or off_x_ok), (i, j, value)
+        for dtype, x_value, values in (
+            (complex, 3.0 - 2.0j, ((self.TOL, True), (-1j * self.TOL, True), (above, False),
+                                   (1j * above, False), (math.nan, False), (1e300, False))),
+            (float, -3.0, ((self.TOL, True), (-self.TOL, True), (above, False),
+                           (-above, False), (math.nan, False), (-math.inf, False))),
+        ):
+            base = np.zeros((n, n), dtype=dtype)
+            for i in range(n):
+                base[i, i] = base[i, n - 1 - i] = x_value
+            assert xstate.is_x_shaped(base, self.TOL)
+            for i in range(n):
+                for j in range(n):
+                    on_x = j == i or i + j == n - 1
+                    for value, off_x_ok in values:
+                        a = base.copy()
+                        a[i, j] = value
+                        assert xstate.is_x_shaped(a, self.TOL) is (on_x or off_x_ok), (i, j, value)
 
     @pytest.mark.parametrize("a", [np.zeros((4, 3)), np.zeros(4)], ids=["non-square", "1-D"])
     def test_not_square_is_not_x_shaped(self, a):
@@ -236,12 +206,12 @@ class TestXEigenvalues:
         bell = np.zeros((4, 4), dtype=complex)
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
         pt = partial_transpose(bell, (2, 2))
-        w = xstate.x_eigenvalues(XMatrix.from_matrix(pt))
+        w = xstate.x_eigenvalues(x_record(pt))
         assert w.tolist() == [0.5, 0.5, 0.5, -0.5]
         assert w.tobytes() == linalg.hermitian_eigenvalues(pt).tobytes()
 
     def test_counterexample_zero_modes(self):
-        x = XMatrix.from_matrix(criteria.counterexample_state())
+        x = x_record(criteria.counterexample_state())
         w = xstate.x_eigenvalues(x)
         assert abs(w[2]) < 1e-15 and abs(w[3]) < 1e-15
 
@@ -250,7 +220,7 @@ class TestXEigenvalues:
 
         for _ in range(10_000):
             m = random_x_matrix(rng)
-            closed = xstate.x_eigenvalues(XMatrix.from_matrix(m))
+            closed = xstate.x_eigenvalues(x_record(m))
             jacobi = linalg.hermitian_eigenvalues(densify(m))
             assert np.max(np.abs(closed - jacobi)) < 1e-10
 
@@ -261,7 +231,7 @@ def random_x_with_zero_corners(rng):
     for i, j in ((0, 3), (1, 2)):
         if rng.random() < 0.125:
             m[i, j] = m[j, i] = 0.0
-    return XMatrix.from_matrix(m)
+    return x_record(m)
 
 
 class TestOneClosedForm:
@@ -398,6 +368,78 @@ class TestMatrixConcurrence:
         for _ in range(200):
             x = xstate.product_state(random_symmetric_params(rng, normalized=True))
             assert xstate.matrix_concurrence(x.matrix(), 1e-10) == xstate.concurrence(x)
+
+    # The eight entries on the X of a 4x4 matrix.
+    ON_X = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("i, j", ON_X)
+    def test_non_finite_entry_on_the_x_gives_none(self, i, j, value):
+        # A NaN trace passes no `> tol` test: it read as concurrence 0.0, an
+        # infinite corner as inf.
+        a = np.eye(4, dtype=complex) / 4.0
+        a[i, j] = value
+        for tol in (0.0, 1e-10, 0.5, math.inf):
+            assert xstate.matrix_concurrence(a, tol) is None, tol
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (1, 2), (0, 1)])
+    def test_opposite_infinities_on_the_diagonal_give_none_without_a_warning(self, i, j):
+        # inf + -inf is NaN: a NumPy trace warned here (an error under -W error).
+        a = np.eye(4, dtype=complex) / 4.0
+        a[i, i], a[j, j] = math.inf, -math.inf
+        assert xstate.matrix_concurrence(a, 0.5) is None
+
+    def test_off_x_entries_decided_under_tol(self):
+        tol = 1e-10
+        above = math.nextafter(tol, 1.0)
+        base = XMatrix(0.4, 0.1, 0.1, 0.4, c14=0.3, c23=0.05j).matrix()
+        want = xstate.matrix_concurrence(base, tol)
+        assert want == xstate.concurrence(x_record(base))
+        for i in range(4):
+            for j in range(4):
+                if (i, j) in self.ON_X:
+                    continue
+                for value, inside in ((tol, True), (-1j * tol, True),
+                                      (above, False), (1j * above, False)):
+                    a = base.copy()
+                    a[i, j] = value
+                    assert xstate.matrix_concurrence(a, tol) == (want if inside else None)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.25, 2.0 ** -30])
+    def test_trace_decided_under_tol_to_the_ulp(self, tol):
+        # The trace sits on one diagonal entry, so the sum and |trace - 1| are exact.
+        a = np.zeros((4, 4), dtype=complex)
+        for edge, away in ((1.0 + tol, math.inf), (1.0 - tol, -math.inf)):
+            for trace in (edge, math.nextafter(edge, 1.0)):
+                a[0, 0] = trace
+                assert xstate.matrix_concurrence(a, tol) == 0.0
+            a[0, 0] = math.nextafter(edge, away)
+            assert xstate.matrix_concurrence(a, tol) is None
+
+    def test_trace_has_the_bits_of_numpys_complex_trace(self, rng):
+        # At tol 0 the verdict is whether the sum is exactly 1, which for about
+        # one draw in six depends on the order of the four additions.
+        for _ in range(2000):
+            a = np.diag(rng.dirichlet(np.ones(4))).astype(complex)
+            assert (xstate.matrix_concurrence(a, 0.0) is None) is (complex(np.trace(a)) != 1.0)
+
+    def test_real_array_reads_as_its_complex_cast(self, rng):
+        for _ in range(200):
+            x = XMatrix(*rng.dirichlet(np.ones(4)), c14=0.3 * rng.random(), c23=-0.3 * rng.random())
+            a = x.matrix().real.copy()
+            assert a.dtype == np.float64
+            a[0, 1] = rng.choice([0.0, 1e-10, 2e-10])
+            for tol in (0.0, 1e-10, 0.5):
+                assert xstate.matrix_concurrence(a, tol) == xstate.matrix_concurrence(
+                    a.astype(complex), tol)
+
+    @pytest.mark.parametrize("a", [
+        np.eye(2) / 2.0, np.eye(3) / 3.0, np.eye(8) / 8.0, np.eye(4).ravel() / 4.0,
+        np.eye(4)[:, :3] / 3.0, np.eye(4)[..., None] / 4.0,
+    ], ids=["2x2", "3x3", "8x8", "1-D", "4x3", "4x4x1"])
+    def test_none_unless_4x4(self, a):
+        for tol in (0.0, 1e-10, 0.5):
+            assert xstate.matrix_concurrence(a, tol) is None
 
 
 class TestZeroConcurrenceRegion:
