@@ -134,9 +134,7 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(
-            f"incompatible operands: {a.shape} x {b.shape}"
-        )
+        raise DimensionMismatch(f"incompatible operands: {a.shape} x {b.shape}")
     return a @ b
 
 
@@ -291,35 +289,37 @@ def _hermitian_rows(rows: list[list[complex]]) -> tuple[float, tuple[int, int], 
     The defect is the largest |a[i][j] - conj(a[j][i])|, the pair the first
     (i, j) in row-major order that reaches it; |a[j][i] - conj(a[i][j])| is
     the same modulus, so only the entries on and above the diagonal are
-    measured. The moduli are abs(), C's hypot, on every host (NumPy's
-    complex absolute is a SIMD kernel on some, an ulp away); one past the
-    float maximum is inf, not an OverflowError, as in NumPy. The symmetrised
-    rows are 0.5 * a + 0.5 * a^H: each term is halved before the sum, so
-    entries near the float maximum do not overflow, and each entry has the
-    bits of NumPy's expression on the same matrix (up to the sign of a zero
-    made from a part of +-2**-1074, which NumPy may halve in a fused
-    multiply-add). The work is a few C-level maps over the flat row list.
+    measured, by `_moduli`. The symmetrised rows are 0.5 * a + 0.5 * a^H:
+    each term is halved before the sum, so entries near the float maximum do
+    not overflow, and each entry has the bits of NumPy's expression on the
+    same matrix (up to the sign of a zero made from a part of +-2**-1074,
+    which NumPy may halve in a fused multiply-add). The work is a few C-level
+    maps over the flat row list.
     """
     n = len(rows)
     _, transposed, upper = _order(n)
     flat = list(chain.from_iterable(rows))
     adjoint = list(map(complex.conjugate, map(flat.__getitem__, transposed)))  # a^H, flat
     h = list(map(add, map(_HALF.__mul__, flat), map(_HALF.__mul__, adjoint)))
-    diffs = list(map(sub, map(flat.__getitem__, upper), map(adjoint.__getitem__, upper)))
-    try:
-        gaps = list(map(abs, diffs))
-    except OverflowError:
-        gaps = list(map(_modulus, diffs))
+    gaps = _moduli(list(map(sub, map(flat.__getitem__, upper), map(adjoint.__getitem__, upper))))
     defect = max(gaps)
     return defect, divmod(upper[gaps.index(defect)], n), [h[k:k + n] for k in range(0, n * n, n)]
 
 
 def _modulus(z: complex) -> float:
-    """abs(z), or inf where it passes the float maximum."""
+    """abs(z), C's hypot on every host (not NumPy's SIMD one), or inf past the float maximum."""
     try:
         return abs(z)
     except OverflowError:
         return math.inf
+
+
+def _moduli(zs: list | tuple) -> list[float]:
+    """`_modulus` of each entry of zs: abs() mapped at C level, entry by entry past the maximum."""
+    try:
+        return list(map(abs, zs))
+    except OverflowError:
+        return list(map(_modulus, zs))
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -471,10 +471,10 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
 
     Each block of the zero pattern is solved on its own: 1x1 and 2x2 blocks
     in closed form, larger ones by Jacobi under the whole matrix's threshold
-    JACOBI_RTOL * ||h||_F, in `_scaled_norm`'s units so that on a tiny `h`
-    it does not underflow to 0.
+    JACOBI_RTOL * ||h||_F, taken once in `_scaled_norm`'s units so that on a
+    tiny `h` it does not underflow to 0.
     """
-    w = []
+    w, norm = [], None
     for idx in _components(h):
         if len(idx) == 1:
             w.append(h[idx[0]][idx[0]].real)
@@ -482,7 +482,7 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
             i, j = idx
             w += hermitian_2x2(h[i][i].real, h[j][j].real, h[i][j])
         else:
-            r, e = _scaled_norm(h)
+            r, e = norm = norm or _scaled_norm(h)
             block = _scaled_block(h, idx, e)
             w += [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
     return _descending(w)

@@ -11,11 +11,11 @@ All criteria downstream depend only on |v1| and |v2|, but the matrices
 built here keep the complex phases: partial transposition acts on the
 phased entries.
 
-The spectra come from `linalg.hermitian_2x2`, the package's one closed form
-for 2x2 Hermitian blocks: an X matrix is two such blocks. The concurrence is
-`x_concurrence` (Wootters 1998); `matrix_concurrence` is the one reader of
-an X state off a 4x4 array, for `xsep analyze` and `criteria.factor_report`
-alike, and an `XMatrix` is built from its entries.
+Each X-state fact is read by one rule: a modulus by `linalg._modulus` (inf
+past the float maximum), the trace by `_trace`, the spectrum by
+`linalg._spectrum`. The concurrence is `x_concurrence` (Wootters 1998);
+`matrix_concurrence`, the one reader of an X state off a 4x4 array, serves
+`xsep analyze`, `criteria.factor_report` and `concurrence` alike.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import linalg
 from .errors import InvalidParams
 
 # Slack on the |v| <= 1 bound, absorbing roundoff in moduli of unit phases:
-# abs(complex(cos t, sin t)) stays within a few ulps of 1.
+# the modulus of complex(cos t, sin t) stays within a few ulps of 1.
 _V_BOUND_SLACK = 4 * sys.float_info.epsilon
 
 
@@ -71,8 +71,9 @@ class XParams:
             object.__setattr__(self, name, t)
         for name in ("v1", "v2"):
             v = _checked(getattr(self, name), name, real=False)
-            if abs(v) > 1.0 + _V_BOUND_SLACK:
-                raise InvalidParams(f"|{name}| must be <= 1, got {abs(v)}")
+            modulus = linalg._modulus(v)
+            if modulus > 1.0 + _V_BOUND_SLACK:
+                raise InvalidParams(f"|{name}| must be <= 1, got {modulus}")
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -113,30 +114,30 @@ class XMatrix:
     c23: complex
 
     def __post_init__(self):
-        for name in ("d11", "d22", "d33", "d44"):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, real=True))
-        for name in ("c14", "c23"):
-            object.__setattr__(self, name, _checked(getattr(self, name), name, real=False))
+        for name in ("d11", "d22", "d33", "d44", "c14", "c23"):
+            object.__setattr__(self, name, _checked(getattr(self, name), name, real=name[0] == "d"))
 
     def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.d11, self.d22, self.d33, self.d44
-        m[0, 3] = self.c14
-        m[3, 0] = np.conj(self.c14)
-        m[1, 2] = self.c23
-        m[2, 1] = np.conj(self.c23)
-        return m
+        c14, c23 = self.c14, self.c23
+        return np.array([[self.d11, 0, 0, c14], [0, self.d22, c23, 0],
+                         [0, c23.conjugate(), self.d33, 0], [c14.conjugate(), 0, 0, self.d44]],
+                        dtype=complex)
 
     @property
     def trace(self) -> float:
-        return self.d11 + self.d22 + self.d33 + self.d44
+        return _trace(self.d11, self.d22, self.d33, self.d44)
+
+
+def _trace(d11, d22, d33, d44):
+    """The trace (d11 + d22) + (d33 + d44): the order, and so the bits, of NumPy's complex trace."""
+    return (d11 + d22) + (d33 + d44)
 
 
 def _off_x_within(rows: list[list], tol: float) -> bool:
     """True iff each entry of a square row list off its diagonal and antidiagonal has |z| <= tol."""
     last = len(rows) - 1
-    return all(abs(z) <= tol for i, row in enumerate(rows)
-               for j, z in enumerate(row) if j != i and i + j != last)
+    off = [z for i, row in enumerate(rows) for j, z in enumerate(row) if j != i and i + j != last]
+    return all(m <= tol for m in linalg._moduli(off))
 
 
 def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
@@ -171,15 +172,14 @@ def product_state(params: XParams) -> XMatrix:
     return XMatrix(t1, t2, t2, t1, c14=t1 * params.v1, c23=t2 * params.v2)
 
 
+def x_eigenvalues(x: XMatrix) -> np.ndarray:
+    """The eigenvalues of an X matrix, descending, +0.0 first: `linalg._spectrum` of its rows."""
+    return np.array(linalg._spectrum(x.matrix().tolist()))
+
+
 # Closed forms on the entries of an X matrix: four diagonal floats and the
 # corner moduli |c14|, |c23|. They take Python floats, which keeps them off
 # NumPy's per-call overhead; the sweep calls them once per distinct modulus.
-
-
-def x_eigenvalues(x: XMatrix) -> np.ndarray:
-    """The four eigenvalues of an X matrix, sorted descending: those of its two 2x2 blocks."""
-    w = linalg.hermitian_2x2(x.d11, x.d44, x.c14) + linalg.hermitian_2x2(x.d22, x.d33, x.c23)
-    return np.array(sorted(w, reverse=True))
 
 
 def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
@@ -210,33 +210,31 @@ def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
 def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     """`x_concurrence` of a finite 4x4 array X shaped and of trace 1 within tol, else None.
 
-    Its rows are read once. The trace is (d11 + d22) + (d33 + d44), the
-    order, and so the bits, of NumPy's trace of four complex entries.
-    Hermiticity and positivity are the caller's to check: the diagonal is
-    read by its real parts and the corners by their moduli.
+    Its rows are read once; the trace is `_trace` and every modulus is
+    `linalg._moduli`'s, inf past the float maximum. Hermiticity and
+    positivity are the caller's to check: the diagonal is read by its real
+    parts and the corners by their moduli.
     """
     a = np.asarray(a)
-    if a.shape != (4, 4):
-        return None
-    rows = a.tolist()
-    if not _off_x_within(rows, tol):
+    if a.shape != (4, 4) or not _off_x_within(rows := a.tolist(), tol):
         return None
     (d11, _, _, c14), (_, d22, c23, _), (_, c32, d33, _), (c41, _, _, d44) = rows
-    if (not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41)))
-            or abs((d11 + d22) + (d33 + d44) - 1.0) > tol):
+    if not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41))):
         return None
-    return x_concurrence(d11.real, d22.real, d33.real, d44.real, abs(c14), abs(c23))
+    gap, m14, m23 = linalg._moduli((_trace(d11, d22, d33, d44) - 1.0, c14, c23))
+    return None if gap > tol else x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23)
 
 
 def concurrence(x: XMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
-    """Concurrence of a normalized X state, by `x_concurrence`.
+    """Concurrence of a normalized X state: `matrix_concurrence` of `x.matrix()`.
 
-    Zero exactly for separable states. Raises unless the trace is 1 within
-    tol, the test `matrix_concurrence` makes; positivity is the caller's.
+    Zero exactly for separable states. Raises InvalidParams where that returns
+    None, for a record a trace off 1 by more than tol; positivity is the caller's.
     """
-    if abs(x.trace - 1.0) > tol:
+    conc = matrix_concurrence(x.matrix(), tol)
+    if conc is None:
         raise InvalidParams(f"concurrence needs a normalized state, trace is {x.trace!r}")
-    return x_concurrence(x.d11, x.d22, x.d33, x.d44, abs(x.c14), abs(x.c23))
+    return conc
 
 
 def family_concurrence(params: XParams) -> float:
@@ -246,7 +244,8 @@ def family_concurrence(params: XParams) -> float:
     of the product's entries.
     """
     t1, t2 = params.t1, params.t2
-    return x_concurrence(t1, t2, t2, t1, t1 * abs(params.v1), t2 * abs(params.v2))
+    m1, m2 = linalg._moduli((params.v1, params.v2))
+    return x_concurrence(t1, t2, t2, t1, t1 * m1, t2 * m2)
 
 
 def zero_concurrence_region(params: XParams) -> bool:

@@ -489,11 +489,11 @@ class TestHermitianRows:
         [[0.0], [-1.0, 1.0], [0.0], [2.0, 2.0], [-3.0, 3.0]],
         [[-1.0, 1.0], [-0.5, 0.5], [0.0], [0.0]],
     ])
-    def test_signed_zeros_come_in_numpys_order(self, blocks):
+    def test_plus_zero_comes_before_minus_zero(self, blocks):
         # [[c, c], [c, c]] with c < 0 has the eigenvalues 2c and -0.0 (det / big);
-        # a 1x1 zero block has +0.0. The spectrum is descending with every +0.0
-        # before every -0.0, the same bytes for each order of the blocks on every
-        # host (NumPy's SIMD sort orders the two zeros its own way on each).
+        # a 1x1 zero block has +0.0. `_descending` puts every +0.0 before every
+        # -0.0, the same bytes for each order of the blocks on every host
+        # (NumPy's SIMD sort orders the two zeros its own way on each).
         w = []
         for b in blocks:
             w += [b[0]] if len(b) == 1 else linalg.hermitian_2x2(b[0], b[0], complex(b[1]))
@@ -737,6 +737,22 @@ class TestBlockSplit:
         m, _ = case
         ref = np.linalg.det(m)
         assert abs(linalg.det(m) - ref) <= 1e-12 * abs(ref)
+
+    def test_norm_is_taken_once_per_matrix(self, rng, monkeypatch):
+        # Three dense 3x3 blocks share the Jacobi threshold of the whole
+        # matrix, so one norm serves them all; an X matrix, all 2x2, takes none.
+        calls = []
+        norm = linalg._scaled_norm
+        monkeypatch.setattr(linalg, "_scaled_norm", lambda a: calls.append(1) or norm(a))
+        h = np.zeros((9, 9), dtype=complex)
+        for k in (0, 3, 6):
+            h[k:k + 3, k:k + 3] = random_hermitian(rng, 3)
+        assert sorted(map(len, linalg._components(h.tolist()))) == [3, 3, 3]
+        w = linalg.hermitian_eigenvalues(h)
+        assert len(calls) == 1
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h)[::-1])) <= 1e-12 * np.linalg.norm(h)
+        linalg.hermitian_eigenvalues(random_x_matrix(rng))
+        assert len(calls) == 1
 
     def test_connected_pattern_is_one_component(self, rng):
         m = random_hermitian(rng, 9)

@@ -210,6 +210,12 @@ class TestXEigenvalues:
         assert w.tolist() == [0.5, 0.5, 0.5, -0.5]
         assert w.tobytes() == linalg.hermitian_eigenvalues(pt).tobytes()
 
+    def test_plus_zero_comes_before_minus_zero(self):
+        # The outer block [[-1, -1], [-1, -1]] has the eigenvalues -0.0 and -2;
+        # the inner diagonal holds +0.0. The order is `linalg._descending`'s.
+        x = XMatrix(-1.0, 0.0, -2.0, -1.0, c14=-1.0, c23=0j)
+        assert xstate.x_eigenvalues(x).tobytes() == np.array([0.0, -0.0, -2.0, -2.0]).tobytes()
+
     def test_counterexample_zero_modes(self):
         x = x_record(criteria.counterexample_state())
         w = xstate.x_eigenvalues(x)
