@@ -9,7 +9,9 @@ permutes blocks, i.e. it transposes over the second subsystem:
 
 `pt_first` is the complementary operator over the first subsystem.
 Both are pure entry permutations, defined for any square matrix whose
-dimension factors as m*n (not only density matrices). Each (m, n) and
+dimension factors as m*n (not only density matrices). `_square` is the one
+test that a matrix fits its split, asked by both operators, by
+`criteria.validate_density` and by `matfile.encode`. Each (m, n) and
 subsystem has one flat permutation, built once and cached: an operator is
 one `take` of it, which makes the one copy of the result, and
 `_transposed_rows` applies the same permutation to a row list.
@@ -66,14 +68,13 @@ class BipartiteDims:
 
 
 def _square(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
+    """a as a complex array and dims as BipartiteDims; DimensionMismatch unless a is mn x mn."""
     dims = BipartiteDims.of(dims)
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != dims.total:
+    t = dims.total
+    if a.shape != (t, t):
         raise DimensionMismatch(
-            f"matrix dimension {a.shape[0]} does not match "
-            f"{dims.m}x{dims.n} subsystems"
+            f"a matrix on {dims.m}x{dims.n} subsystems is {t}x{t}, got shape {a.shape}"
         )
     return a, dims
 

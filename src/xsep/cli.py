@@ -16,7 +16,7 @@ import sys
 
 from . import criteria, linalg, matfile, selftest, xstate
 from .bipartite import BipartiteDims, partial_transpose
-from .errors import DimensionMismatch, InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
+from .errors import InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
 from .matfile import format_float as fmt
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_input(args) -> tuple:
-    """The input file's matrix, finite and square as `matfile.decode` checked it, and its split."""
+    """The file's matrix, as `matfile.decode` checked it, and its split, not yet fitted to it."""
     matrix, file_dims = matfile.load(args.input)
     dim = len(matrix)
     if (args.m is None) != (args.n is None):
@@ -94,10 +94,6 @@ def _load_input(args) -> tuple:
     else:
         raise InvalidParams(
             f"subsystem split of a {dim}x{dim} matrix is ambiguous; pass --m and --n"
-        )
-    if dims.total != dim:
-        raise DimensionMismatch(
-            f"subsystem dimensions {dims.m}x{dims.n} do not match matrix dimension {dim}"
         )
     return matrix, dims
 

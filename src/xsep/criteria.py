@@ -21,13 +21,7 @@ import numpy as np
 
 from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
-from .errors import (
-    DimensionMismatch,
-    EqualityHypothesisError,
-    InvalidParams,
-    NotDensityMatrix,
-    NotHermitian,
-)
+from .errors import EqualityHypothesisError, InvalidParams, NotDensityMatrix, NotHermitian
 from .linalg import DEFAULT_TOL
 
 # Right-hand side of the two-qubit determinant inequality.
@@ -96,16 +90,16 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     definite; False is inconclusive. Raises XsepError on a non-finite entry
     and NotHermitian if A is not Hermitian within tol.
     """
-    linalg._checked_rows(a, tol, "Tarazaga test input")
-    a = np.asarray(a, dtype=complex)
-    return linalg.trace(a).real > math.sqrt(a.shape[0] - 1) * linalg.frobenius_norm(a)
+    d = len(linalg._checked_rows(a, tol, "Tarazaga test input"))
+    return linalg.trace(a).real > math.sqrt(d - 1) * linalg.frobenius_norm(a)
 
 
 def _real_det(a: np.ndarray, name: str) -> float:
     d = linalg.det(a)
     if not (math.isfinite(d.real) and math.isfinite(d.imag)):
         raise InvalidParams(f"det({name}) overflows: got {d!r}")
-    if abs(d.imag) > DEFAULT_TOL * (1.0 + abs(d)):
+    # |Im d| > tol * (1 + |d|), halved: |d/2| of a finite d cannot overflow.
+    if 0.5 * math.fabs(d.imag) > DEFAULT_TOL * (0.5 + linalg._modulus(0.5 * d)):
         raise InvalidParams(
             f"det({name}) = {d!r} has a significant imaginary part; "
             "the determinant criteria expect Hermitian-symmetric factors"
@@ -192,17 +186,14 @@ class DensityReport(NamedTuple):
 def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> DensityReport:
     """Check that rho is a density matrix, then take the PPT verdict.
 
-    A misshapen rho raises DimensionMismatch. Then finiteness, Hermiticity,
+    A rho that does not fit dims raises DimensionMismatch, as
+    `bipartite._square` words it. Then finiteness, Hermiticity,
     unit trace and positivity are checked in that order, the last three
     within tol; the first that fails raises NotDensityMatrix naming it.
     For 2x2 and 2x3 systems PPT decides separability exactly; in larger
     dimensions it only reports the PPT property.
     """
-    dims = BipartiteDims.of(dims)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dims.total, dims.total):
-        raise DimensionMismatch(f"a {dims.m}x{dims.n} state is {dims.total}x{dims.total}, "
-                                f"got shape {rho.shape}")
+    rho, dims = bipartite._square(rho, dims)
     where = linalg.nonfinite_entries(rho)
     if where:
         raise NotDensityMatrix(
@@ -215,7 +206,7 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
             check="hermiticity",
         )
     tr = linalg.trace(rho)
-    if abs(tr - 1.0) > tol:
+    if linalg._modulus(tr - 1.0) > tol:
         raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
     # h, the symmetrised rho, is exactly Hermitian; neither spectrum checks
     # again. The partial transpose of h has the bits of the symmetrised partial

@@ -323,8 +323,8 @@ def _moduli(zs: list | tuple) -> list[float]:
 
 
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest |a[i,j] - conj(a[j,i])| of a finite square matrix and the entry pair achieving it."""
-    defect, pair, _ = _hermitian_rows(np.asarray(a, dtype=complex).tolist())
+    """Largest |a[i,j] - conj(a[j,i])| of an `as_matrix` input and the entry pair achieving it."""
+    defect, pair, _ = _hermitian_rows(as_matrix(a, name="Hermiticity input").tolist())
     return defect, pair
 
 

@@ -19,16 +19,17 @@ from itertools import chain
 
 import numpy as np
 
+from . import bipartite
 from .bipartite import BipartiteDims
-from .errors import MatrixFileError
+from .errors import InvalidParams, MatrixFileError
 
 
 def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -> str:
+    """The canonical file text of a; a given dims must fit a (`bipartite._square`)."""
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    lines = ['{', f'  "dim": {d},']
+    lines = ['{', f'  "dim": {a.shape[0]},']
     if dims is not None:
-        dims = BipartiteDims.of(dims)
+        a, dims = bipartite._square(a, dims)
         lines.append(f'  "dims": [{dims.m}, {dims.n}],')
     lines.append('  "entries": [')
     # One json.dumps per row: its C encoder writes each float as float.__repr__
@@ -88,7 +89,10 @@ def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
             raise MatrixFileError(f"dims must be a pair of integers, got {raw!r}")
         if raw[0] * raw[1] != d:
             raise MatrixFileError(f"dims {raw} do not factor dim {d}")
-        dims = BipartiteDims(raw[0], raw[1])
+        try:
+            dims = BipartiteDims(raw[0], raw[1])
+        except InvalidParams as e:
+            raise MatrixFileError(f"dims {raw}: {e}") from e
     return matrix, dims
 
 

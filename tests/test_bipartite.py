@@ -32,6 +32,15 @@ class TestDims:
         with pytest.raises(DimensionMismatch):
             partial_transpose(np.eye(4, dtype=complex), (2, 3))
 
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(6), np.eye(4)],
+                             ids=["not-square", "one-dimensional", "wrong-order"])
+    @pytest.mark.parametrize("operator", [partial_transpose, pt_first])
+    def test_every_misfit_gets_the_one_split_message(self, operator, a):
+        message = f"a matrix on 2x3 subsystems is 6x6, got shape {a.shape}"
+        with pytest.raises(DimensionMismatch) as err:
+            operator(a, (2, 3))
+        assert str(err.value) == message
+
     def test_total(self):
         assert BipartiteDims(2, 3).total == 6
 

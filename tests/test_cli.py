@@ -451,6 +451,35 @@ def test_bad_matrix_exits_2_from_decode(command, entries, message, tmp_path, cap
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["pt", "analyze"])
+def test_split_that_does_not_fit_exits_3(command, capsys):
+    # bipartite._square, which both commands reach, is the one test of the split
+    assert main([command, BELL, "--m", "3", "--n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a matrix on 3x3 subsystems is 9x9, got shape (4, 4)\n"
+
+
+@pytest.mark.parametrize("command", ["pt", "analyze"])
+def test_dims_that_are_not_a_split_exit_2(command, tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"dim": 4, "dims": [1, 4], "entries": [[[0.25, 0]] * 4] * 4}))
+    assert main([command, str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dims [1, 4]: subsystem dimensions must be >= 2, got (1, 4)\n"
+
+
+def test_trace_past_the_float_maximum_exits_4(tmp_path, capsys):
+    # |tr - 1| is inf: the trace check fails, where abs() raised OverflowError
+    src = tmp_path / "huge.json"
+    matfile.save(str(src), np.diag([1.5e308 + 3.75e307j, 3.75e307j, 3.75e307j, 3.75e307j]))
+    assert main(["analyze", str(src), "--tol", "1e308"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: trace check failed: trace is (1.5e+308+1.5e+308j)\n"
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()

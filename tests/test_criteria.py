@@ -16,6 +16,7 @@ from xsep.errors import (
     NotHermitian,
     XsepError,
 )
+from xsep.linalg import DEFAULT_TOL
 from xsep.xstate import XParams
 
 from conftest import random_complex, random_hermitian, random_unit_disc, x_record
@@ -231,6 +232,25 @@ class TestTheorem2:
             assert check.satisfied
 
 
+class TestRealDet:
+    def test_imaginary_part_verdict_is_the_unhalved_one(self, rng, monkeypatch):
+        # 0.5 |Im d| > tol (0.5 + |d/2|) is |Im d| > tol (1 + |d|) halved, exactly
+        # in range; d sits near that boundary at every scale.
+        scale = 10.0 ** rng.uniform(-300, 300, 2000)
+        ratio = DEFAULT_TOL * (1.0 + scale) / scale * rng.uniform(0.999, 1.001, 2000)
+        flagged = 0
+        for d in map(complex, scale * rng.choice([-1.0, 1.0], 2000) + 1j * scale * ratio):
+            monkeypatch.setattr(linalg, "det", lambda a: d)
+            expected = abs(d.imag) > DEFAULT_TOL * (1.0 + abs(d))
+            flagged += expected
+            if expected:
+                with pytest.raises(InvalidParams, match="significant imaginary part"):
+                    criteria._real_det(None, "p")
+            else:
+                assert criteria._real_det(None, "p") == d.real
+        assert 500 < flagged < 1500  # both verdicts are reached
+
+
 class TestCorollary1:
     def test_identity_factors_order9(self):
         eye9 = np.eye(9, dtype=complex)
@@ -260,6 +280,13 @@ class TestCorollary1:
         big = 1e20 * np.eye(9, dtype=complex)  # det 1e180 is finite, its cube is not
         with pytest.raises(InvalidParams, match="overflows"):
             criteria.corollary1_check(big, big, (3, 3))
+
+    def test_a_determinant_modulus_past_the_float_maximum_raises_invalid_params(self):
+        # det(P1^G) = 1.5e308+1.5e308j is finite, and abs() of it raises OverflowError
+        p1 = np.eye(9, dtype=complex)
+        p1[0, 0] = 1.5e308 + 1.5e308j
+        with pytest.raises(InvalidParams, match=r"^det\(p1\^G\) = .* significant imaginary part"):
+            criteria.corollary1_check(p1, np.eye(9), (3, 3))
 
     def test_rejects_factors_of_the_wrong_order(self):
         # partial_transpose is the one shape check: P2 is not 9x9.
@@ -351,6 +378,14 @@ class TestValidateDensity:
             criteria.validate_density(rho, DIMS22)
         assert err.value.check == check
         assert str(err.value) == message
+
+    def test_a_trace_past_the_float_maximum_fails_the_trace_check(self):
+        # |tr - 1| of the trace 1.5e308+1.5e308j is inf, not an OverflowError;
+        # the Hermiticity defect 7.5e307 is within tol
+        rho = np.diag([1.5e308 + 3.75e307j, 3.75e307j, 3.75e307j, 3.75e307j])
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(rho, DIMS22, tol=1e308)
+        assert err.value.check == "trace"
 
     def test_a_difference_past_the_float_maximum_fails_hermiticity(self):
         # |rho[0, 1] - conj(rho[1, 0])| is 2.1e308: inf, not an OverflowError

@@ -472,6 +472,12 @@ class TestHermitianRows:
                 linalg.hermitian_eigenvalues(a)
             assert err.value.pair == pair
 
+    def test_defect_input_passes_the_matrix_gate(self):
+        with pytest.raises(DimensionMismatch, match=r"must be square, got shape \(2, 3\)"):
+            linalg.hermiticity_defect(np.ones((2, 3)))
+        with pytest.raises(XsepError, match=r"non-finite entries at \(0,0\)$"):
+            linalg.hermiticity_defect(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_a_difference_past_the_float_maximum_is_inf(self):
         # abs(complex(1.5e308, 1.5e308)) raises OverflowError; the defect is inf
         a = np.eye(3, dtype=complex)

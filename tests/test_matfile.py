@@ -9,7 +9,7 @@ import pytest
 from xsep import matfile
 from xsep.cli import main
 from xsep.bipartite import BipartiteDims
-from xsep.errors import MatrixFileError
+from xsep.errors import DimensionMismatch, MatrixFileError
 
 from conftest import random_complex
 
@@ -72,6 +72,19 @@ def test_rejects_bad_dims():
         matfile.decode('{"dim": 4, "dims": [2, 3], "entries": '
                        '[[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]],'
                        '[[0,0],[0,0],[0,0],[0,0]],[[0,0],[0,0],[0,0],[0,0]]]}')
+
+
+@pytest.mark.parametrize("dims", [[1, 4], [-2, -2]])
+def test_rejects_dims_that_are_not_a_split(dims):
+    # they factor dim 4, but BipartiteDims takes no dimension below 2
+    text = json.dumps({"dim": 4, "dims": dims, "entries": [[[0, 0]] * 4] * 4})
+    with pytest.raises(MatrixFileError, match=rf"^dims \{dims}: .*>= 2"):
+        matfile.decode(text)
+
+
+def test_encode_rejects_dims_that_do_not_fit():
+    with pytest.raises(DimensionMismatch, match=r"is 9x9, got shape \(4, 4\)$"):
+        matfile.encode(np.eye(4), (3, 3))
 
 
 @pytest.mark.parametrize("text, kinds", [

@@ -1,0 +1,50 @@
+"""The source rules of the CI workflow's grep steps, as tests.
+
+Each rule names the files under src/xsep it covers and a regular expression
+that no line of them may match (the grep pattern, in Python's syntax). A
+failure lists every offending line as file:line, with the rule's name.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "xsep"
+
+# A bare abs( call; math.fabs(, np.abs( and _abs( are not one.
+MODULUS = r"(?<![\w.])abs\("
+TOL_LITERAL = r"[0-9]e-?[0-9]"
+
+# rule -> (file glob under src/xsep, pattern, a line the pattern must catch)
+RULES = {
+    "no LAPACK in the library": ("*.py", r"np\.linalg|numpy\.linalg|scipy", "np.linalg.eigvalsh(a)"),
+    "no tolerance literal in xstate": ("xstate.py", TOL_LITERAL, "tol = 1e-10"),
+    "no tolerance literal in criteria": ("criteria.py", TOL_LITERAL, "if x > 1e-12:"),
+    "one modulus rule in xstate": ("xstate.py", MODULUS, "r = abs(z)"),
+    "one modulus rule in criteria": ("criteria.py", MODULUS, "if abs(tr - 1.0) > tol:"),
+    "sweep on Python scalars": ("cli.py", r"^(import numpy|from numpy)", "import numpy as np"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_no_line_breaks_the_rule(rule):
+    glob, pattern, _ = RULES[rule]
+    paths = sorted(SRC.glob(glob))
+    assert paths, f"{rule}: no file matches src/xsep/{glob}"
+    broken = [f"src/xsep/{path.name}:{number}: {rule}: {line.strip()}"
+              for path in paths
+              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if re.search(pattern, line)]
+    assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_the_rule_catches_its_example(rule):
+    _, pattern, example = RULES[rule]
+    assert re.search(pattern, example)
+
+
+def test_the_modulus_rule_spares_other_calls():
+    for line in ("math.fabs(x)", "np.abs(a)", "_abs(z)", "linalg._modulus(z)", "cabs(z)"):
+        assert not re.search(MODULUS, line), line
