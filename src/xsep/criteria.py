@@ -88,10 +88,13 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     A True answer certifies that the Hermitian matrix is positive
     definite; False is inconclusive. Raises XsepError on a non-finite entry
-    and NotHermitian if A is not Hermitian within tol.
+    and NotHermitian if A is not Hermitian within tol. Both sides are taken
+    on the symmetrised rows in `_scaled_norm`'s units, so neither is inf.
     """
-    d = len(linalg._checked_rows(a, tol, "Tarazaga test input"))
-    return linalg.trace(a).real > math.sqrt(d - 1) * linalg.frobenius_norm(a)
+    h = linalg._checked_rows(a, tol, "Tarazaga test input")
+    r, e = linalg._scaled_norm(h)
+    d = len(h)
+    return math.fsum(math.ldexp(h[i][i].real, -e) for i in range(d)) > math.sqrt(d - 1) * r
 
 
 def _real_det(a: np.ndarray, name: str) -> float:

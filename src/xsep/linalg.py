@@ -158,12 +158,11 @@ def _scaled_norm(a) -> tuple[float, int]:
 
 
 def _times_pow2(x: float, e: int) -> float:
-    """x * 2**e, exact in range.
-
-    Formed as 2 * x * 2**(e-1) rather than math.ldexp(x, e): past the float
-    range this is inf, not an OverflowError.
-    """
-    return 2.0 * x * math.ldexp(1.0, e - 1)
+    """x * 2**e for every e: math.ldexp, exact in range, or inf of x's sign past the float maximum."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -212,9 +211,10 @@ def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[co
 
     1x1: the entry; 2x2: ad - bc; larger: the sign and the pivots of LU
     with partial pivoting on the first entry of largest modulus in each
-    column. A vanishing pivot column ends the list with 0, or NaN if an
-    overflow left a NaN there (max() skips NaN); a modulus past the float
-    range ends it with inf.
+    column, each modulus `_moduli`'s. A vanishing pivot column ends the
+    list with 0, or NaN if an overflow left a NaN there (max() skips NaN);
+    a column whose largest modulus is inf, past the float maximum, makes the
+    list [inf], which sends `det` to its scaled retry.
     """
     if len(idx) == 1:
         i, = idx
@@ -225,11 +225,10 @@ def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[co
     a = list(map(itemgetter(*idx), map(rows.__getitem__, idx)))  # the block's rows, as tuples
     factors = [1.0]  # the sign, then the pivots
     while len(a) > 1:
-        try:
-            col = [abs(row[0]) for row in a]
-        except OverflowError:
-            return [cmath.inf]
+        col = _moduli([row[0] for row in a])
         big = max(col)
+        if big == math.inf:
+            return [cmath.inf]
         if not big:
             return [*factors, sum(col)]
         p = col.index(big)
@@ -249,26 +248,24 @@ def _product(factors: list[complex], e: int) -> complex:
     """The factors' product times 2**e: one left-to-right complex product z * 2**k.
 
     As LINPACK's xGEDI keep a determinant, a step whose |z| leaves the band
-    [2**-500, 2**500] (or is inf or NaN) is formed again on the factor scaled
-    to [0.5, 1), and z too is scaled there, by exact powers of two: no partial
-    product overflows or underflows, and in range z has the plain product's
-    bits. 2**k comes last, and a real matrix's imaginary part is made +0.0.
+    [2**-500, 2**500] (its `_modulus`, inf or NaN included) is formed again
+    on the factor scaled to [0.5, 1), and z too is scaled there, by exact
+    powers of two: no partial product overflows or underflows, and in range z
+    has the plain product's bits. 2**k comes last, by `_times_pow2` on each
+    part, so a part past the float range is inf of its sign on its own; a
+    real matrix's imaginary part is made +0.0.
     """
     z, k = 1 + 0j, e
     for f in factors:
         w = z * f
-        if not 2.0 ** -500 <= math.hypot(w.real, w.imag) <= 2.0 ** 500:
+        if not 2.0 ** -500 <= _modulus(w) <= 2.0 ** 500:
             t = math.frexp(max(abs(f.real), abs(f.imag)))[1]
             w = z * complex(math.ldexp(f.real, -t), math.ldexp(f.imag, -t))
             s = math.frexp(max(abs(w.real), abs(w.imag)))[1]
             w = complex(math.ldexp(w.real, -s), math.ldexp(w.imag, -s))
             k += t + s
         z = w
-    try:
-        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k) + 0.0)
-    except OverflowError:  # past the float range: inf, from two powers of two in range
-        k = min(k, 2000)
-        return complex(*(x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) for x in (z.real, z.imag + 0.0)))
+    return complex(_times_pow2(z.real, k), _times_pow2(z.imag, k) + 0.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,8 +394,6 @@ def _jacobi_spectrum(a: list[list[complex]], thresh: float) -> list[float]:
     """
     n = len(a)
     d = [a[k][k].real for k in range(n)]
-    if n == 1:
-        return d
     for _ in range(_MAX_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):

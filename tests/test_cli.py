@@ -480,6 +480,35 @@ def test_trace_past_the_float_maximum_exits_4(tmp_path, capsys):
     assert err == "error: trace check failed: trace is (1.5e+308+1.5e+308j)\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--t1", "0.25", "--t2", "0.25", "--with-factors"],
+     "error: --with-factors requires --out to derive companion paths\n"),
+    (["analyze", "{eye9}"],
+     "error: subsystem split of a 9x9 matrix is ambiguous; pass --m and --n\n"),
+], ids=["with-factors-without-out", "9x9-without-dims"])
+def test_invalid_params_exit_3(argv, message, tmp_path, capsys):
+    eye9 = tmp_path / "eye9.json"
+    matfile.save(str(eye9), np.eye(9) / 9.0)
+    assert main([arg.format(eye9=eye9) for arg in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
+
+
+def test_bad_complex_argument_exits_2(capsys):
+    assert main(["check-equality", "--t1", "0.25", "--t2", "0.25", "--v1", "abc"]) == 2
+    assert "not a complex number: 'abc'" in capsys.readouterr().err
+
+
+def test_top_level_array_exits_2(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text("[[[1, 0]]]")
+    assert main(["analyze", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: top-level value must be an object\n"
+
+
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()

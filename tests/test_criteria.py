@@ -1,6 +1,7 @@
 """Unit tests for the equality gap, determinant inequalities and PPT oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,12 @@ class TestTarazaga:
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatch):
             criteria.tarazaga_pd(np.eye(4, 3))
+
+    def test_trace_and_norm_past_the_float_maximum(self):
+        # 6e308 > sqrt(3) * 3e308, compared in scaled units: no overflow warning, no inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert criteria.tarazaga_pd(np.diag([1.5e308] * 4))
 
     def test_soundness(self, rng):
         # every certified matrix must be positive definite
@@ -499,6 +506,13 @@ class TestFactorReport:
         assert report.concurrence == xstate.x_concurrence(
             a[0][0].real, a[1][1].real, a[2][2].real, a[3][3].real, abs(a[0][3]), abs(a[1][2]))
         assert report.concurrence == pytest.approx(2e-7, rel=1e-6)
+
+    def test_hermitian_product_with_a_gap_that_is_not(self, rng):
+        # A and A^2 commute, so the product A^3 is Hermitian; the gap is not.
+        a = random_hermitian(rng, 4)
+        report = criteria.factor_report(a, a @ a)
+        assert report.gap_eigenvalues is None
+        assert not report.equality_holds
 
     @pytest.mark.parametrize("p1, p2", [(np.eye(9), np.eye(9)), (np.eye(4), np.eye(3))],
                              ids=["9x9", "4x4-and-3x3"])

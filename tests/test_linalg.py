@@ -198,6 +198,13 @@ class TestDet:
         assert d.real == want
         assert d.imag == 0 and math.copysign(1.0, d.imag) == 1.0
 
+    def test_each_part_past_the_float_range_is_inf_on_its_own(self):
+        # The exact determinant is 1e924 + 1e626j: the imaginary part, far
+        # below the real one, is past the float range too and must be inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.det(np.diag([1e308, 1e308, 1e308 + 1e10j])) == complex(math.inf, math.inf)
+
     @staticmethod
     def near_singular_blocks(rng):
         """Random complex 2x2 blocks whose ad and bc agree to about 1e-6 relative."""
@@ -343,6 +350,21 @@ class TestFrobenius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert linalg.frobenius_norm(np.full((4, 4), 1e308)) == math.inf
+
+
+class TestTimesPow2:
+    def test_is_ldexp_in_range(self, rng):
+        for x in rng.standard_normal(200).tolist():
+            for e in (-1074, -1060, -500, -1, 0, 1, 500, 1022):
+                assert linalg._times_pow2(x, e) == math.ldexp(x, e)
+
+    @pytest.mark.parametrize("e", [1025, 5000])
+    def test_past_the_float_maximum_is_inf_of_the_sign(self, e):
+        assert linalg._times_pow2(1.5, e) == math.inf
+        assert linalg._times_pow2(-1.5, e) == -math.inf
+
+    def test_below_the_subnormals_is_zero(self):
+        assert linalg._times_pow2(1.5, -5000) == 0.0
 
 
 class TestHermitianEigenvalues:

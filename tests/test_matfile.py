@@ -138,6 +138,10 @@ class TestFormatFloat:
         assert matfile.format_float(0.0) == "0.000000000000"
         assert matfile.format_float(-0.0) == "0.000000000000"
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_its_repr(self, x):
+        assert matfile.format_float(x) == repr(x)
+
     def test_scientific_fallback_is_lowercase(self):
         assert "e" in matfile.format_float(3.5e-17)
         assert matfile.format_float(2.5e-17) == "2.500000000000e-17"

@@ -1,8 +1,9 @@
-"""The source rules of the CI workflow's grep steps, as tests.
+"""The source rules of the library, as tests.
 
 Each rule names the files under src/xsep it covers and a regular expression
-that no line of them may match (the grep pattern, in Python's syntax). A
-failure lists every offending line as file:line, with the rule's name.
+that no line of them may match. A failure lists every offending line as
+file:line, with the rule's name. The tier-1 run is where these rules are
+enforced, at every NumPy version the tests run under.
 """
 
 import re
