@@ -88,13 +88,13 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     A True answer certifies that the Hermitian matrix is positive
     definite; False is inconclusive. Raises XsepError on a non-finite entry
-    and NotHermitian if A is not Hermitian within tol. Both sides are taken
-    on the symmetrised rows in `_scaled_norm`'s units, so neither is inf.
+    and NotHermitian if A is not Hermitian within tol. Both sides are in
+    `_scaled_norm`'s units of the symmetrised rows: an inf trace would certify.
     """
     h = linalg._checked_rows(a, tol, "Tarazaga test input")
     r, e = linalg._scaled_norm(h)
-    d = len(h)
-    return math.fsum(math.ldexp(h[i][i].real, -e) for i in range(d)) > math.sqrt(d - 1) * r
+    trace = linalg._trace([math.ldexp(row[i].real, -e) for i, row in enumerate(h)]).real
+    return trace > math.sqrt(len(h) - 1) * r
 
 
 def _real_det(a: np.ndarray, name: str) -> float:
@@ -115,16 +115,12 @@ def theorem2_lhs(prod: float) -> float:
     return 81.0 * prod ** 3 + 512.0 * prod
 
 
-def _theorem2_lhs_of(d1: float, d2: float) -> float:
-    return theorem2_lhs(d1 * d2)
-
-
-def _inequality(p1_pt: np.ndarray, p2_pt: np.ndarray, lhs_of: Callable[[float, float], float],
+def _inequality(p1_pt: np.ndarray, p2_pt: np.ndarray, lhs_of: Callable[[float], float],
                 rhs: float) -> InequalityCheck:
-    """The verdict lhs_of(D1, D2) <= rhs, D_i = det(P_i^G); InvalidParams if a side overflows."""
+    """The verdict lhs_of(D1 D2) <= rhs, D_i = det(P_i^G); InvalidParams if a side overflows."""
     d1, d2 = _real_det(p1_pt, "p1^G"), _real_det(p2_pt, "p2^G")
     try:
-        lhs = lhs_of(d1, d2)
+        lhs = lhs_of(d1 * d2)
     except OverflowError:
         lhs = math.inf
     if not math.isfinite(lhs):
@@ -150,19 +146,19 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
             f"factor pair violates the transposition equality (gap norm "
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
         )
-    return _inequality(p1_pt, p2_pt, _theorem2_lhs_of, THEOREM2_RHS)
+    return _inequality(p1_pt, p2_pt, theorem2_lhs, THEOREM2_RHS)
 
 
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
     """Higher-dimensional analogue of the determinant inequality.
 
-    For factors of order m*n with m, n >= 3 and D_i = det(P_i^G):
+    For factors of order m*n with m, n >= 3, D_i = det(P_i^G) and D = D1 D2:
 
-        (n-1)^n D1^3 D2^3 + 2 n^n D1 D2 <= n^((3n-1)/2) / (n-1)^(n/2)
+        (n-1)^n D^3 + 2 n^n D <= n^((3n-1)/2) / (n-1)^(n/2)
 
-    certifies that the product state is PPT. The inequality uses only the
-    second subsystem dimension n. The transposition equality is assumed,
-    as in the two-qubit case, but is the caller's responsibility here.
+    certifies that the product state is PPT; the left side is that of the
+    float D. It uses only the second subsystem dimension n. The transposition
+    equality is assumed, as in two qubits, but is the caller's to check here.
     """
     dims = BipartiteDims.of(dims)
     if dims.m < 3 or dims.n < 3:
@@ -173,7 +169,7 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
     n = dims.n
     return _inequality(
         partial_transpose(p1, dims), partial_transpose(p2, dims),
-        lambda d1, d2: (n - 1.0) ** n * (d1 ** 3) * (d2 ** 3) + 2.0 * float(n) ** n * d1 * d2,
+        lambda prod: (n - 1.0) ** n * prod ** 3 + 2.0 * float(n) ** n * prod,
         float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0))
 
 
@@ -269,7 +265,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     except NotHermitian:
         gap_eigs = None
     min_pt = linalg.min_eigenvalue(prod_pt, tol)
-    theorem2 = _inequality(p1_pt, p2_pt, _theorem2_lhs_of, THEOREM2_RHS)
+    theorem2 = _inequality(p1_pt, p2_pt, theorem2_lhs, THEOREM2_RHS)
     return CriterionReport(
         gap_frobenius=gap_norm,
         gap_eigenvalues=gap_eigs,

@@ -139,8 +139,17 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.asarray(a).trace())
+    """Sum of diagonal entries, `_trace` of the diagonal: inf past the float maximum, no warning."""
+    return _trace(np.asarray(a, dtype=complex).diagonal().tolist())
+
+
+def _trace(d: list) -> complex:
+    """Sum of d in NumPy's pairwise order, its trace's bits to order 64; `sum` would compensate."""
+    s0 = s1 = s2 = s3 = 0j
+    m = len(d) - len(d) % 4
+    for k in range(0, m, 4):
+        s0, s1, s2, s3 = s0 + d[k], s1 + d[k + 1], s2 + d[k + 2], s3 + d[k + 3]
+    return functools.reduce(add, d[m:], (s0 + s1) + (s2 + s3)) + 0j
 
 
 def _scaled_norm(a) -> tuple[float, int]:

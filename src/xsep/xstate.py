@@ -12,7 +12,7 @@ built here keep the complex phases: partial transposition acts on the
 phased entries.
 
 Each X-state fact is read by one rule: a modulus by `linalg._modulus` (inf
-past the float maximum), the trace by `_trace`, the spectrum by
+past the float maximum), the trace by `linalg._trace`, the spectrum by
 `linalg._spectrum`. The concurrence is `x_concurrence` (Wootters 1998);
 `matrix_concurrence`, the one reader of an X state off a 4x4 array, serves
 `xsep analyze`, `criteria.factor_report` and `concurrence` alike.
@@ -125,12 +125,7 @@ class XMatrix:
 
     @property
     def trace(self) -> float:
-        return _trace(self.d11, self.d22, self.d33, self.d44)
-
-
-def _trace(d11, d22, d33, d44):
-    """The trace (d11 + d22) + (d33 + d44): the order, and so the bits, of NumPy's complex trace."""
-    return (d11 + d22) + (d33 + d44)
+        return linalg._trace([self.d11, self.d22, self.d33, self.d44]).real
 
 
 def _off_x_within(rows: list[list], tol: float) -> bool:
@@ -210,7 +205,7 @@ def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
 def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     """`x_concurrence` of a finite 4x4 array X shaped and of trace 1 within tol, else None.
 
-    Its rows are read once; the trace is `_trace` and every modulus is
+    Its rows are read once; the trace is `linalg._trace` and every modulus is
     `linalg._moduli`'s, inf past the float maximum. Hermiticity and
     positivity are the caller's to check: the diagonal is read by its real
     parts and the corners by their moduli.
@@ -221,7 +216,7 @@ def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     (d11, _, _, c14), (_, d22, c23, _), (_, c32, d33, _), (c41, _, _, d44) = rows
     if not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41))):
         return None
-    gap, m14, m23 = linalg._moduli((_trace(d11, d22, d33, d44) - 1.0, c14, c23))
+    gap, m14, m23 = linalg._moduli((linalg._trace([d11, d22, d33, d44]) - 1.0, c14, c23))
     return None if gap > tol else x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23)
 
 

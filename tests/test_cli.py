@@ -115,6 +115,15 @@ class TestAnalyze:
         assert main(["analyze", str(src)]) == 4
         assert "trace" in capsys.readouterr().err
 
+    def test_a_trace_past_the_float_maximum_exits_4_with_one_line(self, tmp_path, capsys):
+        # The trace 6e308 is inf, named by the trace check with no overflow warning.
+        src = tmp_path / "big.json"
+        matfile.save(str(src), np.diag([1.5e308] * 4), (2, 2))
+        assert main(["analyze", str(src)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace check failed: trace is (inf+0j)\n"
+
     def test_trace_decided_under_tol(self, tmp_path, capsys):
         src = tmp_path / "x.json"
         rho = np.diag(np.array([0.2502, 0.25, 0.25, 0.25], dtype=complex))

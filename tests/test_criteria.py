@@ -284,9 +284,18 @@ class TestCorollary1:
         assert check.satisfied
 
     def test_overflow_raises_invalid_params(self):
-        big = 1e20 * np.eye(9, dtype=complex)  # det 1e180 is finite, its cube is not
-        with pytest.raises(InvalidParams, match="overflows"):
-            criteria.corollary1_check(big, big, (3, 3))
+        # 1e20: D1 D2 = 1e360 is inf; 1e13: D1 D2 = 1e234 is finite, its cube is not
+        for scale in (1e20, 1e13):
+            big = scale * np.eye(9, dtype=complex)
+            with pytest.raises(InvalidParams, match="overflows"):
+                criteria.corollary1_check(big, big, (3, 3))
+
+    def test_a_balanced_pair_is_decided_on_the_product(self):
+        # D1 = 1e117 cubed overflows, D1 D2 = 1 does not: the left side is that of I9, I9.
+        eye9 = np.eye(9, dtype=complex)
+        check = criteria.corollary1_check(1e13 * eye9, 1e-13 * eye9, (3, 3))
+        assert check.lhs == pytest.approx(62.0, rel=1e-13)
+        assert not check.satisfied
 
     def test_a_determinant_modulus_past_the_float_maximum_raises_invalid_params(self):
         # det(P1^G) = 1.5e308+1.5e308j is finite, and abs() of it raises OverflowError

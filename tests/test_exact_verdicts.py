@@ -1,4 +1,4 @@
-"""The X-state verdicts against an exact oracle, and at the edges of the float range.
+"""The verdicts against an exact oracle, and at the edges of the float range.
 
 A float is a dyadic rational, so `Fraction(x)` is its exact value and the
 oracle decides each verdict on the stored entries with no rounding. For a
@@ -14,6 +14,7 @@ inside or outside. Scaling by 2**t keeps every entry exact.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -161,3 +162,123 @@ def test_cli_amplitude_past_the_float_maximum_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: |v1| must be <= 1, got inf\n"
+
+
+# Theorem 2 (81 D^3 + 512 D <= 2^11 / 9, D = det(P1^G) det(P2^G)) and the
+# transposition equality on dyadic factor pairs of the family, decided exactly.
+# Partial transposition only moves entries, and a product is a polynomial in
+# them, so both are exact in Fraction from the stored floats.
+
+THEOREM2_RHS = Fraction(2 ** 11, 9)
+# Verdicts closer than this to 2^11 / 9 are not asserted: D is rounded on the way.
+BAND = 8 * math.ulp(criteria.THEOREM2_RHS)
+
+
+def exact(a) -> list[list[tuple[Fraction, Fraction]]]:
+    """The entries of a square array as exact (real, imaginary) pairs."""
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(a).tolist()]
+
+
+def exact_pt(a):
+    """The partial transpose over the second qubit: entry (2i + k, 2j + l) from (2i + l, 2j + k)."""
+    return [[a[2 * (r // 2) + c % 2][2 * (c // 2) + r % 2] for c in range(4)] for r in range(4)]
+
+
+def times(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def exact_mul(a, b):
+    n = len(a)
+    zero = (Fraction(0), Fraction(0))
+    product = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k] != zero:
+                for j in range(n):
+                    if b[k][j] != zero:
+                        t = times(a[i][k], b[k][j])
+                        product[i][j] = (product[i][j][0] + t[0], product[i][j][1] + t[1])
+    return product
+
+
+def minus(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def exact_x_det(a) -> Fraction:
+    """det of a 4x4 X matrix, (a00 a33 - a03 a30)(a11 a22 - a12 a21), which is real here."""
+    assert all(a[i][j] == (0, 0) for i in range(4) for j in range(4) if j not in (i, 3 - i))
+    outer, inner = (minus(times(a[i][i], a[3 - i][3 - i]), times(a[i][3 - i], a[3 - i][i]))
+                    for i in (0, 1))
+    det, imaginary = times(outer, inner)
+    assert imaginary == 0
+    return det
+
+
+def dyadic_amplitude(rng, bound: float) -> complex:
+    """A complex with parts k / 64 and modulus squared at most bound, exactly."""
+    while True:
+        v = complex(*(rng.integers(-64, 65, size=2) / 64.0))
+        if square(v) <= bound:
+            return v
+
+
+def test_theorem2_agrees_with_the_exact_oracle_across_the_boundary(rng):
+    # D* is the real root of 81 D^3 + 512 D = 2^11 / 9, and t = (D* / D2)^(1/4)
+    # puts D on it; t is moved off it by 1e-12 to 3 %, either way, and rounded
+    # to 40 bits, so every product of the pair is exact.
+    d_star = max(np.roots([81.0, 0.0, 512.0, -2.0 ** 11 / 9.0]).real)
+    verdicts = []
+    for _ in range(300):
+        v1, v2 = dyadic_amplitude(rng, 0.9), dyadic_amplitude(rng, 0.9)
+        d2 = (1.0 - abs(v1) ** 2) * (1.0 - abs(v2) ** 2)
+        offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.5)
+        t = round((d_star / d2) ** 0.25 * (1.0 + offset) * 2 ** 40) / 2 ** 40
+        pair = xstate.build_factors(XParams.symmetric(t, t, v1, v2))
+        d = exact_x_det(exact_pt(exact(pair.p1))) * exact_x_det(exact_pt(exact(pair.p2)))
+        lhs = 81 * d ** 3 + 512 * d
+        if abs(lhs - THEOREM2_RHS) <= BAND:
+            continue
+        satisfied = criteria.theorem2_check(pair.p1, pair.p2).satisfied
+        assert satisfied is (lhs <= THEOREM2_RHS), (t, v1, v2)
+        verdicts.append(satisfied)
+    assert len(verdicts) >= 200 and verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_equality_holds_iff_the_exact_gap_vanishes(rng):
+    weights = [k / 1024.0 for k in rng.integers(1, 2048, size=8)]
+    holds = []
+    for _ in range(200):
+        t1 = float(rng.choice(weights))
+        t2 = t1 if rng.random() < 0.4 else float(rng.choice(weights))
+        v1, v2 = (0j if rng.random() < 0.4 else dyadic_amplitude(rng, 1.0) for _ in range(2))
+        pair = xstate.build_factors(XParams.symmetric(t1, t2, v1, v2))
+        p1, p2 = exact(pair.p1), exact(pair.p2)
+        vanishes = exact_pt(exact_mul(p1, p2)) == exact_mul(exact_pt(p1), exact_pt(p2))
+        assert vanishes is (t1 == t2 or v1 == v2 == 0)
+        assert criteria.equality_holds(pair.p1, pair.p2, (2, 2), 0.0) is vanishes, (t1, t2, v1, v2)
+        holds.append(vanishes)
+    assert holds.count(True) > 50 and holds.count(False) > 50
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_corollary1_left_side_is_the_exact_polynomial_in_d1_d2(m):
+    # det(a I) = a^(m m) exactly, so D = (a b)^(m m); a b = 1 is among the pairs.
+    n = m
+    scales = [s * 2.0 ** k for s in (1, 3) for k in range(-60, 61, 15)]
+    for a in scales:
+        for b in scales:
+            d = (Fraction(a) * Fraction(b)) ** (m * m)
+            lhs = (n - 1) ** n * d ** 3 + 2 * n ** n * d
+            p1, p2 = (s * np.eye(m * m, dtype=complex) for s in (a, b))
+            if lhs > sys.float_info.max:
+                with pytest.raises(InvalidParams, match="overflows"):
+                    criteria.corollary1_check(p1, p2, (m, m))
+                continue
+            check = criteria.corollary1_check(p1, p2, (m, m))
+            # D itself is rounded to a subnormal or zero below 2**-1022.
+            assert math.isclose(check.lhs, float(lhs), rel_tol=4 * sys.float_info.epsilon,
+                                abs_tol=2 * n ** n * 2.0 ** -1074), (a, b)
+            if abs(lhs - Fraction(check.rhs)) > 8 * math.ulp(check.rhs):
+                assert check.satisfied is (lhs <= Fraction(check.rhs)), (a, b)

@@ -131,6 +131,22 @@ class TestTrace:
             a = random_complex(rng, 4)
             assert linalg.trace(partial_transpose(a, (2, 2))) == linalg.trace(a)
 
+    def test_has_the_bits_of_numpys_trace(self, rng):
+        # The order of the additions is NumPy's, so every bit is, signed zeros included.
+        for n in range(1, 17):
+            for _ in range(100):
+                a = random_complex(rng, n) * 10.0 ** rng.uniform(-300, 300)
+                parts = a.view(np.float64)
+                zeros = rng.random(parts.shape) < 0.3
+                parts[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+                got, want = linalg.trace(a), complex(np.trace(a))
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), n
+
+    def test_past_the_float_maximum_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg.trace(np.diag([1.5e308] * 4)) == complex(math.inf, 0.0)
+
 
 class TestDet:
     def test_identity(self):

@@ -16,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "xsep"
 # A bare abs( call; math.fabs(, np.abs( and _abs( are not one.
 MODULUS = r"(?<![\w.])abs\("
 TOL_LITERAL = r"[0-9]e-?[0-9]"
+# NumPy's trace, as a function or a method; linalg.trace( is the library's one rule.
+TRACE = r"np\.trace\(|\)\.trace\("
 
 # rule -> (file glob under src/xsep, pattern, a line the pattern must catch)
 RULES = {
@@ -25,6 +27,7 @@ RULES = {
     "one modulus rule in xstate": ("xstate.py", MODULUS, "r = abs(z)"),
     "one modulus rule in criteria": ("criteria.py", MODULUS, "if abs(tr - 1.0) > tol:"),
     "sweep on Python scalars": ("cli.py", r"^(import numpy|from numpy)", "import numpy as np"),
+    "one trace rule": ("*.py", TRACE, "return complex(np.asarray(a).trace())"),
 }
 
 
@@ -49,3 +52,8 @@ def test_the_rule_catches_its_example(rule):
 def test_the_modulus_rule_spares_other_calls():
     for line in ("math.fabs(x)", "np.abs(a)", "_abs(z)", "linalg._modulus(z)", "cabs(z)"):
         assert not re.search(MODULUS, line), line
+
+
+def test_the_trace_rule_spares_the_librarys_trace():
+    for line in ("linalg.trace(rho)", "tr = trace(a)", "density.trace", "linalg._trace(diagonal)"):
+        assert not re.search(TRACE, line), line
