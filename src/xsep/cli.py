@@ -130,14 +130,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     params = xstate.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
-    if abs(params.t1 + params.t2 - 0.5) > 1e-12:
-        print(
-            f"warning: t1 + t2 = {params.t1 + params.t2!r}, product state is "
-            "unnormalized (a normalized state needs t1 + t2 = 0.5)",
-            file=sys.stderr,
-        )
     pair = xstate.build_factors(params)
     rho = linalg.mul(pair.p1, pair.p2)
+    # The product is Hermitian and PSD, so only its trace, 2 (t1 + t2), can fail.
+    try:
+        criteria.validate_density(rho, criteria.TWO_QUBITS)
+    except NotDensityMatrix:
+        print(f"warning: t1 + t2 = {params.t1 + params.t2!r}, product state is "
+              "unnormalized (a normalized state needs t1 + t2 = 0.5)", file=sys.stderr)
     if args.with_factors:
         if args.out is None:
             raise InvalidParams("--with-factors requires --out to derive companion paths")
@@ -190,7 +190,7 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     v_abs = [i * step for i in range(grid)]
     # Moduli of the corners v/4 of the normalized product, v1 down the
     # rows and v2 along the columns: |v e^{i phase} / 4|.
-    moduli = [[abs(complex(v * c / 4.0, v * s / 4.0)) for v in v_abs]
+    moduli = [linalg._moduli([complex(v * c / 4.0, v * s / 4.0) for v in v_abs])
               for c, s in ((math.cos(ph), math.sin(ph)) for ph in (phase1, phase2))]
     # Every cell has diagonal 1/4, so its concurrence is the larger, and its
     # minimum partial-transpose eigenvalue (partial transposition swaps the
@@ -226,13 +226,12 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise InvalidParams(f"grid must be >= 2, got {args.grid}")
-    for name in ("t1", "phase1", "phase2"):
+    t1 = xstate.XParams.symmetric(args.t1, args.t1, 0.0, 0.0).t1
+    for name in ("phase1", "phase2"):
         value = getattr(args, name)
         if not math.isfinite(value):
             raise InvalidParams(f"{name} must be finite, got {value!r}")
-    if args.t1 < 0:
-        raise InvalidParams(f"t1 must be nonnegative, got {args.t1}")
-    rows = _sweep_rows(args.t1, args.grid, args.scaled_p2, args.phase1, args.phase2)
+    rows = _sweep_rows(t1, args.grid, args.scaled_p2, args.phase1, args.phase2)
     header = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig"
     _write_text(args.out, "\n".join([header, *rows, ""]))
     return EXIT_OK

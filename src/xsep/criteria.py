@@ -136,12 +136,12 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
         81 D1^3 D2^3 + 512 D1 D2 <= 2^11 / 9.
 
     It applies only when the factors satisfy the transposition equality,
-    so the gap norm is checked first; a satisfied verdict is a sufficient
-    condition for separability of the 4x4 product state, never necessary.
+    so the gap norm is checked first, and a NaN norm fails; a satisfied verdict is a
+    sufficient condition for separability of the 4x4 product state, never necessary.
     """
     gap, _, _, p1_pt, p2_pt = _evaluate(p1, p2, TWO_QUBITS)
     gap_norm = linalg.frobenius_norm(gap)
-    if gap_norm > tol:
+    if not gap_norm <= tol:
         raise EqualityHypothesisError(
             f"factor pair violates the transposition equality (gap norm "
             f"{gap_norm:.3e} > tol {tol:.3e}); check equality_holds() first"
@@ -188,7 +188,8 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
     A rho that does not fit dims raises DimensionMismatch, as
     `bipartite._square` words it. Then finiteness, Hermiticity,
     unit trace and positivity are checked in that order, the last three
-    within tol; the first that fails raises NotDensityMatrix naming it.
+    within tol, which a NaN (such as the trace inf - inf) fails; the first
+    that fails raises NotDensityMatrix naming it.
     For 2x2 and 2x3 systems PPT decides separability exactly; in larger
     dimensions it only reports the PPT property.
     """
@@ -199,19 +200,19 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
             f"finiteness check failed: non-finite entries at {where}", check="finiteness"
         )
     defect, (i, j), h = linalg._hermitian_rows(rho.tolist())
-    if defect > tol:
+    if not defect <= tol:
         raise NotDensityMatrix(
             f"hermiticity check failed: entries ({i},{j})/({j},{i}) differ by {defect:.3e}",
             check="hermiticity",
         )
     tr = linalg.trace(rho)
-    if linalg._modulus(tr - 1.0) > tol:
+    if not linalg._modulus(tr - 1.0) <= tol:
         raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
     # h, the symmetrised rho, is exactly Hermitian; neither spectrum checks
     # again. The partial transpose of h has the bits of the symmetrised partial
     # transpose of rho, and rho's Hermiticity defect.
     lowest = linalg._spectrum(h)[-1]
-    if lowest < -tol:
+    if not lowest >= -tol:
         raise NotDensityMatrix(
             f"positivity check failed: smallest eigenvalue {lowest:.3e}",
             check="positivity",

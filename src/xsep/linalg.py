@@ -337,7 +337,7 @@ def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
 def _checked_rows(a, tol: float, name: str) -> list[list[complex]]:
     """The rows of (a + a^H)/2, after `as_matrix` and NotHermitian if a's defect exceeds tol."""
     defect, (i, j), h = _hermitian_rows(as_matrix(a, name=name).tolist())
-    if defect > tol:
+    if not defect <= tol:
         raise NotHermitian(
             f"not Hermitian: entries ({i},{j}) and ({j},{i}) differ by "
             f"{defect:.3e} (tol {tol:.3e})",

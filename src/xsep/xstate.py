@@ -217,7 +217,7 @@ def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     if not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41))):
         return None
     gap, m14, m23 = linalg._moduli((linalg._trace([d11, d22, d33, d44]) - 1.0, c14, c23))
-    return None if gap > tol else x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23)
+    return x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23) if gap <= tol else None
 
 
 def concurrence(x: XMatrix, tol: float = linalg.DEFAULT_TOL) -> float:

@@ -124,6 +124,16 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == "error: trace check failed: trace is (inf+0j)\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_a_nan_trace_exits_4_with_one_line(self, tmp_path, capsys, extra):
+        # Finite entries whose trace is inf + -inf: a NaN fails the trace check.
+        src = tmp_path / "nan.json"
+        matfile.save(str(src), np.diag([1.7e308, 1.7e308, -1e308, -1e308]), (2, 2))
+        assert main(["analyze", str(src), "--tol", "1e308", *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace check failed: trace is (nan+0j)\n"
+
     def test_trace_decided_under_tol(self, tmp_path, capsys):
         src = tmp_path / "x.json"
         rho = np.diag(np.array([0.2502, 0.25, 0.25, 0.25], dtype=complex))
@@ -202,6 +212,34 @@ class TestConstruct:
         out = tmp_path / "rho.json"
         assert main(["construct", "--t1", "0.3", "--t2", "0.3", "--out", str(out)]) == 0
         assert "unnormalized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t2, warns", [("0.25000000002", False), ("0.2500000001", True)])
+    def test_warns_iff_analyze_rejects_the_product(self, tmp_path, capsys, t2, warns):
+        # The trace is 2 (t1 + t2): 1 + 4e-11 passes the trace check at the
+        # default --tol, 1 + 2e-10 fails it.
+        out = tmp_path / "rho.json"
+        assert main(["construct", "--t1", "0.25", "--t2", t2, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err.startswith("warning: t1 + t2 = ") and err.count("\n") == 1
+            assert "unnormalized" in err
+        else:
+            assert err == ""
+        assert main(["analyze", str(out)]) == (4 if warns else 0)
+
+    def test_a_normalized_product_passes_every_density_check(self, rng):
+        # So the warning can only mean that t1 + t2 is not 0.5.
+        edge = 1.0 + 4 * np.finfo(float).eps  # the largest |v| XParams takes
+        amplitudes = [0j, 1.0, -1j, edge, -edge, 1j * edge]
+        for k in range(400):
+            t1 = (0.0, 0.5, 0.5 * rng.random())[k % 3]
+            t2 = 0.5 - t1
+            v1, v2 = (amplitudes[rng.integers(6)] if rng.random() < 0.5
+                      else random_unit_disc(rng) for _ in range(2))
+            assert t1 + t2 == 0.5
+            pair = xstate.build_factors(xstate.XParams.symmetric(t1, t2, v1, v2))
+            rho = linalg.mul(pair.p1, pair.p2)
+            assert criteria.validate_density(rho, criteria.TWO_QUBITS).trace == 1.0
 
     def test_amplitude_bound_exit_3(self, tmp_path):
         assert main(["construct", "--t1", "0.25", "--t2", "0.25",

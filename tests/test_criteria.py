@@ -220,6 +220,16 @@ class TestTheorem2:
             assert criteria.theorem2_check(pair.p1, pair.p2).lhs == lhs
             assert criteria.factor_report(pair.p1, pair.p2).theorem2_lhs == lhs
 
+    def test_a_nan_gap_norm_fails_the_hypothesis(self):
+        # P P overflows, so the gap is inf - inf, NaN, while D1 D2 = 1: the
+        # left side 593 is finite, but the equality is not established.
+        p = np.diag([1e200, 1e-200, 1e-200, 1e200]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's matmul overflow
+            assert not criteria.equality_holds(p, p, (2, 2))
+            with pytest.raises(EqualityHypothesisError, match="gap norm nan > tol"):
+                criteria.theorem2_check(p, p)
+
     @pytest.mark.parametrize("t", [1e30, 1e154, 1e308])
     def test_overflow_raises_invalid_params(self, t):
         pair = family_pair(t, t, 0.5, 0.5)

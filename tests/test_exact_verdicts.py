@@ -13,6 +13,8 @@ boundary; shrinking or growing the corner by 2**-20 puts it a clear margin
 inside or outside. Scaling by 2**t keeps every entry exact.
 """
 
+import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -22,11 +24,12 @@ import pytest
 
 from xsep import criteria, linalg, xstate
 from xsep.bipartite import partial_transpose
-from xsep.cli import main
+from xsep.cli import build_parser, main
 from xsep.errors import InvalidParams
 from xsep.xstate import XMatrix, XParams
 
 from conftest import x_record
+from test_sweep import GOLDEN_SWEEP, GRIDS, T1S
 
 TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41)]
 # The corner's factor: on the boundary, a clear margin inside, outside.
@@ -282,3 +285,52 @@ def test_corollary1_left_side_is_the_exact_polynomial_in_d1_d2(m):
                                 abs_tol=2 * n ** n * 2.0 ** -1074), (a, b)
             if abs(lhs - Fraction(check.rhs)) > 8 * math.ulp(check.rhs):
                 assert check.satisfied is (lhs <= Fraction(check.rhs)), (a, b)
+
+
+# The sweep's `satisfied` column. A cell has D = t1^4 (t1^8 with --scaled-p2)
+# times (1 - v1^2)(1 - v2^2), with each |v| = i / (grid - 1) as the sweep rounds
+# it, so the oracle takes D exactly on those floats.
+
+
+def lattice(grid: int) -> list[float]:
+    step = 1.0 / (grid - 1)
+    return [i * step for i in range(grid)]
+
+
+def test_sweep_cells_agree_with_the_exact_oracle(capsys):
+    checked, near = [], 0
+    for scaled in (False, True):
+        for t1 in T1S:
+            d1 = Fraction(t1) ** (8 if scaled else 4)
+            for grid in GRIDS:
+                argv = ["sweep", "--t1", repr(t1), "--grid", str(grid)]
+                assert main(argv + ["--scaled-p2"] * scaled) == 0
+                got = [row.split(",")[4] for row in capsys.readouterr().out.splitlines()[1:]]
+                factors = [1 - Fraction(v) ** 2 for v in lattice(grid)]
+                for verdict, (f1, f2) in zip(got, itertools.product(factors, factors), strict=True):
+                    d = d1 * f1 * f2
+                    lhs = 81 * d ** 3 + 512 * d
+                    if abs(lhs - THEOREM2_RHS) <= BAND:
+                        near += 1
+                        continue
+                    assert verdict == ("true" if lhs <= THEOREM2_RHS else "false"), (t1, grid)
+                    checked.append(verdict)
+    assert len(checked) + near == 6852
+    assert checked.count("true") > 1000 and checked.count("false") > 1000
+
+
+def test_golden_phase0_sweeps_are_satisfied_in_every_cell(capsys):
+    argvs = [key for key in json.loads(GOLDEN_SWEEP.read_text())["sha256"] if "phase" not in key]
+    assert len(argvs) == 4 and not any("--t1" in key for key in argvs)
+    assert build_parser().parse_args(["sweep"]).t1 == 0.25
+    # Each |v| is in [0, 1], so 0 <= D <= t1^4 = 1/256 (1/65536 scaled), and the
+    # left side grows with D >= 0: one exact comparison bounds every cell.
+    d_max = Fraction(1, 256)
+    assert 81 * d_max ** 3 + 512 * d_max <= THEOREM2_RHS
+    for key in argvs:
+        argv = key.split()
+        grid = int(argv[argv.index("--grid") + 1])
+        assert all(0.0 <= v <= 1.0 for v in lattice(grid))
+        assert main(argv) == 0
+        # `satisfied` is the one column that reads true or false
+        assert capsys.readouterr().out.count(",true,") == grid * grid, key

@@ -18,6 +18,9 @@ MODULUS = r"(?<![\w.])abs\("
 TOL_LITERAL = r"[0-9]e-?[0-9]"
 # NumPy's trace, as a function or a method; linalg.trace( is the library's one rule.
 TRACE = r"np\.trace\(|\)\.trace\("
+# A failure test `x > tol` or `x < -tol` in code, which a NaN x passes; `not x <= tol`
+# fails it. An operand ends the left side, so `{x:.3e} > tol` in a message is spared.
+TOL_FAILS = r"^[^#]*[\w)\]]\s*(?:>|<\s*-)\s*tol\b"
 
 # rule -> (file glob under src/xsep, pattern, a line the pattern must catch)
 RULES = {
@@ -26,6 +29,9 @@ RULES = {
     "no tolerance literal in criteria": ("criteria.py", TOL_LITERAL, "if x > 1e-12:"),
     "one modulus rule in xstate": ("xstate.py", MODULUS, "r = abs(z)"),
     "one modulus rule in criteria": ("criteria.py", MODULUS, "if abs(tr - 1.0) > tol:"),
+    "no tolerance literal in cli": ("cli.py", TOL_LITERAL, "if abs(t1 + t2 - 0.5) > 1e-12:"),
+    "one modulus rule in cli": ("cli.py", MODULUS, "m = abs(complex(v * c, v * s))"),
+    "a tolerance test passes only on <=": ("*.py", TOL_FAILS, "if gap > tol:"),
     "sweep on Python scalars": ("cli.py", r"^(import numpy|from numpy)", "import numpy as np"),
     "one trace rule": ("*.py", TRACE, "return complex(np.asarray(a).trace())"),
 }
@@ -57,3 +63,15 @@ def test_the_modulus_rule_spares_other_calls():
 def test_the_trace_rule_spares_the_librarys_trace():
     for line in ("linalg.trace(rho)", "tr = trace(a)", "density.trace", "linalg._trace(diagonal)"):
         assert not re.search(TRACE, line), line
+
+
+def test_the_tolerance_rule_catches_each_form_a_nan_passes():
+    for line in ("if gap > tol:", "return None if gap > tol else c", "if lowest < -tol:",
+                 "if linalg._modulus(tr - 1.0) > tol:", "if defects[k] > tol:"):
+        assert re.search(TOL_FAILS, line), line
+
+
+def test_the_tolerance_rule_spares_the_tests_a_nan_fails():
+    for line in ("if not gap <= tol:", "return c if gap <= tol else None", "min_pt >= -tol",
+                 "# a NaN passes x > tol", 'f"{gap_norm:.3e} > tol {tol:.3e}); check"'):
+        assert not re.search(TOL_FAILS, line), line

@@ -395,6 +395,12 @@ class TestMatrixConcurrence:
         a[i, i], a[j, j] = math.inf, -math.inf
         assert xstate.matrix_concurrence(a, 0.5) is None
 
+    @pytest.mark.parametrize("tol", [1e308, math.inf])
+    def test_a_nan_trace_of_finite_entries_gives_none(self, tol):
+        # The trace is inf + -inf, and a NaN fails the trace test under any tol.
+        a = np.diag([1.7e308, 1.7e308, -1e308, -1e308]).astype(complex)
+        assert xstate.matrix_concurrence(a, tol) is None
+
     def test_off_x_entries_decided_under_tol(self):
         tol = 1e-10
         above = math.nextafter(tol, 1.0)
