@@ -194,29 +194,21 @@ def validate_density(rho: np.ndarray, dims, tol: float = DEFAULT_TOL) -> Density
     dimensions it only reports the PPT property.
     """
     rho, dims = bipartite._square(rho, dims)
-    where = linalg.nonfinite_entries(rho)
-    if where:
-        raise NotDensityMatrix(
-            f"finiteness check failed: non-finite entries at {where}", check="finiteness"
-        )
-    defect, (i, j), h = linalg._hermitian_rows(rho.tolist())
+    if where := linalg.nonfinite_entries(rho):
+        raise NotDensityMatrix("finiteness", f"non-finite entries at {where}")
+    rows = rho.tolist()
+    defect, (i, j), h = linalg._hermitian_rows(rows)
     if not defect <= tol:
-        raise NotDensityMatrix(
-            f"hermiticity check failed: entries ({i},{j})/({j},{i}) differ by {defect:.3e}",
-            check="hermiticity",
-        )
-    tr = linalg.trace(rho)
-    if not linalg._modulus(tr - 1.0) <= tol:
-        raise NotDensityMatrix(f"trace check failed: trace is {tr!r}", check="trace")
+        raise NotDensityMatrix("hermiticity", f"entries ({i},{j})/({j},{i}) differ by {defect:.3e}")
+    tr, unit = linalg._unit_trace([row[k] for k, row in enumerate(rows)], tol)
+    if not unit:
+        raise NotDensityMatrix("trace", f"trace is {tr!r}")
     # h, the symmetrised rho, is exactly Hermitian; neither spectrum checks
     # again. The partial transpose of h has the bits of the symmetrised partial
     # transpose of rho, and rho's Hermiticity defect.
     lowest = linalg._spectrum(h)[-1]
     if not lowest >= -tol:
-        raise NotDensityMatrix(
-            f"positivity check failed: smallest eigenvalue {lowest:.3e}",
-            check="positivity",
-        )
+        raise NotDensityMatrix("positivity", f"smallest eigenvalue {lowest:.3e}")
     min_pt = linalg._spectrum(bipartite._transposed_rows(h, dims))[-1]
     return DensityReport(tr.real, lowest, min_pt, min_pt >= -tol)
 

@@ -29,10 +29,10 @@ class InvalidParams(XsepError):
 
 
 class NotDensityMatrix(XsepError):
-    """Input failed a density-matrix check; carries the name of the failed check."""
+    """Input failed a density-matrix check; the message is "<check> check failed: <detail>"."""
 
-    def __init__(self, message: str, check: str):
-        super().__init__(message)
+    def __init__(self, check: str, detail: str):
+        super().__init__(f"{check} check failed: {detail}")
         self.check = check
 
 
@@ -41,7 +41,7 @@ class EqualityHypothesisError(XsepError):
 
 
 class MatrixFileError(XsepError):
-    """A matrix file is malformed; carries the character offset when known."""
+    """A matrix file is malformed; carries the UTF-8 byte offset when known."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)

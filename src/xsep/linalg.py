@@ -152,6 +152,12 @@ def _trace(d: list) -> complex:
     return functools.reduce(add, d[m:], (s0 + s1) + (s2 + s3)) + 0j
 
 
+def _unit_trace(diagonal: list, tol: float) -> tuple[complex, bool]:
+    """The `_trace` of a diagonal and whether it is 1 within tol; a NaN trace is not."""
+    trace = _trace(diagonal)
+    return trace, _modulus(trace - 1.0) <= tol
+
+
 def _scaled_norm(a) -> tuple[float, int]:
     """(r, e) with ||a||_F = r * 2**e, e the exponent of the largest real or imaginary part.
 

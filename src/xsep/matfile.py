@@ -43,13 +43,14 @@ def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -
 
 
 def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
-    """Parse a matrix file; raises MatrixFileError with the offset on bad input."""
+    """Parse a matrix file; MatrixFileError on bad input, on bad JSON with its UTF-8 byte offset."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise MatrixFileError(
-            f"invalid JSON at byte offset {e.pos}: {e.msg}", offset=e.pos
-        ) from e
+        at = len(text[:e.pos].encode("utf-8", "surrogatepass"))
+        raise MatrixFileError(f"invalid JSON at byte offset {at}: {e.msg}", offset=at) from e
+    except RecursionError as e:
+        raise MatrixFileError("JSON nests too deeply to parse") from e
     if not isinstance(doc, dict):
         raise MatrixFileError("top-level value must be an object")
     try:
@@ -66,26 +67,19 @@ def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
     except (TypeError, ValueError, OverflowError) as e:
         raise MatrixFileError(f"entries are not numeric pairs: {e}") from e
     if arr.shape != (d, d, 2):
-        raise MatrixFileError(
-            f"entries must be a {d}x{d} array of [re, im] pairs, got shape {arr.shape}"
-        )
+        raise MatrixFileError(f"entries must be a {d}x{d} array of [re, im] pairs, "
+                              f"got shape {arr.shape}")
     # NumPy would read "1" as 1.0 and true as 1.0.
     kinds = set(map(type, chain.from_iterable(chain.from_iterable(entries)))) - {int, float}
     if kinds:
-        raise MatrixFileError(
-            f"entries must be JSON numbers, got {', '.join(sorted(k.__name__ for k in kinds))}"
-        )
+        raise MatrixFileError("entries must be JSON numbers, got "
+                              + ", ".join(sorted(k.__name__ for k in kinds)))
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError("entries contain non-finite numbers")
-    matrix = arr[..., 0] + 1j * arr[..., 1]
+    matrix = arr.view(complex)[..., 0]  # each part keeps its bits, a zero its sign
     dims = None
-    if "dims" in doc and doc["dims"] is not None:
-        raw = doc["dims"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or not all(type(x) is int for x in raw)
-        ):
+    if (raw := doc.get("dims")) is not None:
+        if not (isinstance(raw, list) and len(raw) == 2 and all(type(x) is int for x in raw)):
             raise MatrixFileError(f"dims must be a pair of integers, got {raw!r}")
         if raw[0] * raw[1] != d:
             raise MatrixFileError(f"dims {raw} do not factor dim {d}")
@@ -97,8 +91,15 @@ def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
 
 
 def load(path: str) -> tuple[np.ndarray, BipartiteDims | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return decode(fh.read())
+    """`decode` of the file's bytes as UTF-8; MatrixFileError at the first byte that is not."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MatrixFileError(f"not UTF-8 at byte offset {e.start}: {e.reason}",
+                              offset=e.start) from e
+    return decode(text)
 
 
 def save(path: str, a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -> None:

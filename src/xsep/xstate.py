@@ -205,19 +205,20 @@ def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
 def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     """`x_concurrence` of a finite 4x4 array X shaped and of trace 1 within tol, else None.
 
-    Its rows are read once; the trace is `linalg._trace` and every modulus is
-    `linalg._moduli`'s, inf past the float maximum. Hermiticity and
-    positivity are the caller's to check: the diagonal is read by its real
-    parts and the corners by their moduli.
+    Its rows are read once; the trace test is `linalg._unit_trace`, as in
+    `criteria.validate_density`, and the corners' moduli are `linalg._moduli`'s,
+    inf past the float maximum. Hermiticity and positivity are the caller's to
+    check: the diagonal is read by its real parts and the corners by their moduli.
     """
     a = np.asarray(a)
     if a.shape != (4, 4) or not _off_x_within(rows := a.tolist(), tol):
         return None
     (d11, _, _, c14), (_, d22, c23, _), (_, c32, d33, _), (c41, _, _, d44) = rows
-    if not all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41))):
+    if not (all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41)))
+            and linalg._unit_trace([d11, d22, d33, d44], tol)[1]):
         return None
-    gap, m14, m23 = linalg._moduli((linalg._trace([d11, d22, d33, d44]) - 1.0, c14, c23))
-    return x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23) if gap <= tol else None
+    m14, m23 = linalg._moduli((c14, c23))
+    return x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23)
 
 
 def concurrence(x: XMatrix, tol: float = linalg.DEFAULT_TOL) -> float:

@@ -499,6 +499,22 @@ def test_bad_matrix_exits_2_from_decode(command, entries, message, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["pt", "analyze"])
+@pytest.mark.parametrize("content, message", [
+    (b'{"dim": 1, "entries": [[[1, 0]]], "note": "\xe9"}',
+     "not UTF-8 at byte offset 43: invalid continuation byte"),
+    (b'{"dim": 1, "entries": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+     "JSON nests too deeply to parse"),
+], ids=["latin-1", "over-nested"])
+def test_unreadable_matrix_file_exits_2(command, content, message, tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_bytes(content)
+    assert main([command, str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["pt", "analyze"])
 def test_split_that_does_not_fit_exits_3(command, capsys):
     # bipartite._square, which both commands reach, is the one test of the split
     assert main([command, BELL, "--m", "3", "--n", "3"]) == 3

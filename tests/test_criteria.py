@@ -405,6 +405,21 @@ class TestValidateDensity:
         assert err.value.check == check
         assert str(err.value) == message
 
+    def test_a_failed_check_is_named_once(self):
+        err = NotDensityMatrix("trace", "trace is (3+0j)")
+        assert str(err) == "trace check failed: trace is (3+0j)"
+        assert err.check == "trace"
+
+    def test_the_trace_verdict_is_linalg_unit_trace(self, monkeypatch):
+        # validate_density and matrix_concurrence share one unit-trace test
+        monkeypatch.setattr(linalg, "_unit_trace", lambda d, tol: (linalg._trace(d), False))
+        mixed = np.eye(4, dtype=complex) / 4.0
+        with pytest.raises(NotDensityMatrix) as err:
+            criteria.validate_density(mixed, DIMS22)
+        assert err.value.check == "trace"
+        assert str(err.value) == "trace check failed: trace is (1+0j)"
+        assert xstate.matrix_concurrence(mixed, DEFAULT_TOL) is None
+
     def test_a_trace_past_the_float_maximum_fails_the_trace_check(self):
         # |tr - 1| of the trace 1.5e308+1.5e308j is inf, not an OverflowError;
         # the Hermiticity defect 7.5e307 is within tol
@@ -607,6 +622,15 @@ class TestSharedEvaluation:
         rho = linalg.mul(pair.p1, pair.p2)
         assert criteria.ppt_verdict(rho, DIMS22)
         assert len(seen) == 1 and np.array_equal(seen[0], rho)
+
+    def test_ppt_verdict_crosses_rho_once(self, monkeypatch):
+        # The trace is read off the row list of the Hermiticity pass, not off rho again.
+        def crossing(a):
+            raise AssertionError("rho crossed to rows a second time")
+
+        monkeypatch.setattr(linalg, "trace", crossing)
+        pair = family_pair(0.25, 0.25, 0.6, 0.3j)
+        assert criteria.ppt_verdict(linalg.mul(pair.p1, pair.p2), DIMS22)
 
     def test_factor_report_tests_the_x_shape_once(self, monkeypatch):
         # The off-X test is the one predicate of is_x_shaped and matrix_concurrence.

@@ -8,7 +8,7 @@ import pytest
 
 from xsep import matfile
 from xsep.cli import main
-from xsep.bipartite import BipartiteDims
+from xsep.bipartite import BipartiteDims, partial_transpose
 from xsep.errors import DimensionMismatch, MatrixFileError
 
 from conftest import random_complex
@@ -55,6 +55,48 @@ def test_parse_error_carries_offset():
         matfile.decode('{"dim": 2, "entries": [[[1, 0], [0, 0]],')
     assert err.value.offset is not None
     assert "byte offset" in str(err.value)
+
+
+def test_parse_error_offset_counts_utf8_bytes():
+    # four 2-byte characters come before the error: JSONDecodeError.pos is 4 short
+    text = '{"dim": 1, "note": "\u00e9\u00e9\u00e9\u00e9", "entries": [[[1, 0]]],}'
+    at = len(text.encode("utf-8")) - 1
+    with pytest.raises(MatrixFileError) as err:
+        matfile.decode(text)
+    assert err.value.offset == at == len(text) - 1 + 4
+    assert str(err.value).startswith(f"invalid JSON at byte offset {at}: ")
+
+
+def test_load_offsets_are_the_files_bytes(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"dim": 1,\r\n "entries": [[[1, 0]]],\r\n}')
+    with pytest.raises(MatrixFileError, match="byte offset 37: ") as err:
+        matfile.load(str(path))
+    assert err.value.offset == 37
+    path.write_bytes(b'{"dim": 1, "note": "\xff", "entries": [[[1, 0]]]}')
+    with pytest.raises(MatrixFileError) as err:
+        matfile.load(str(path))
+    assert str(err.value) == "not UTF-8 at byte offset 20: invalid start byte"
+    assert err.value.offset == 20
+
+
+def test_over_nested_json_is_a_matrix_file_error():
+    with pytest.raises(MatrixFileError, match="^JSON nests too deeply to parse$"):
+        matfile.decode('{"dim": 1, "entries": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
+def test_signed_zeros_round_trip_byte_for_byte(tmp_path):
+    a = np.array([[complex(-0.0, 0.0), complex(1.0, -0.0), 0.5j, complex(-0.0, -0.0)]] * 4)
+    a[2, 1] = complex(0.0, -0.0)
+    text = matfile.encode(a, (2, 2))
+    assert "[-0.0, 0.0]" in text and "[1.0, -0.0]" in text and "[0.0, -0.0]" in text
+    decoded, _ = matfile.decode(text)
+    assert matfile.encode(decoded, (2, 2)) == text
+    src, out = tmp_path / "m.json", tmp_path / "pt.json"
+    src.write_text(text)
+    assert main(["pt", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == matfile.encode(partial_transpose(a, (2, 2)), (2, 2))
+    assert out.read_text().count("-0.0") == text.count("-0.0")
 
 
 def test_shape_mismatch():

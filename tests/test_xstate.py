@@ -401,6 +401,11 @@ class TestMatrixConcurrence:
         a = np.diag([1.7e308, 1.7e308, -1e308, -1e308]).astype(complex)
         assert xstate.matrix_concurrence(a, tol) is None
 
+    def test_the_trace_verdict_is_linalg_unit_trace(self, monkeypatch):
+        # no second trace test: a pass of validate_density's one test lets trace 2 through
+        monkeypatch.setattr(linalg, "_unit_trace", lambda d, tol: (linalg._trace(d), True))
+        assert xstate.matrix_concurrence(np.eye(4, dtype=complex) / 2.0, 0.0) == 0.0
+
     def test_off_x_entries_decided_under_tol(self):
         tol = 1e-10
         above = math.nextafter(tol, 1.0)
