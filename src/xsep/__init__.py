@@ -1,97 +1,79 @@
-"""Partial transposition of matrix products and separability of two-qubit X states."""
+"""Partial transposition of matrix products and separability of two-qubit X states.
 
-from .bipartite import BipartiteDims, partial_transpose, pt_first
-from .criteria import (
-    CriterionReport,
-    DensityReport,
-    InequalityCheck,
-    corollary1_check,
-    counterexample_gap,
-    counterexample_pt_product,
-    counterexample_state,
-    equality_holds,
-    factor_report,
-    ppt_verdict,
-    pt_gap,
-    tarazaga_pd,
-    theorem2_check,
-    validate_density,
-)
-from .errors import (
-    DimensionMismatch,
-    EqualityHypothesisError,
-    InvalidParams,
-    MatrixFileError,
-    NotDensityMatrix,
-    NotHermitian,
-    XsepError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    det,
-    frobenius_norm,
-    hermitian_eigenvalues,
-    is_psd,
-    min_eigenvalue,
-    mul,
-    trace,
-)
-from .xstate import (
-    FactorPair,
-    XMatrix,
-    XParams,
-    build_factors,
-    concurrence,
-    family_concurrence,
-    is_x_shaped,
-    product_state,
-    x_eigenvalues,
-    zero_concurrence_region,
-)
+The package imports its modules lazily (PEP 562): `import xsep` loads none
+of them, and so no NumPy. A public name is looked up in the module that
+defines it on each access, `xsep.det` as `xsep.linalg.det`, and a module
+name such as `xsep.linalg` imports that module; the first access to a
+NumPy-backed name imports NumPy with its module. A public name is never
+cached here, so rebinding the module attribute (a monkeypatch, a tracer)
+rebinds `xsep.<name>` too.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteDims",
-    "CriterionReport",
-    "DEFAULT_TOL",
-    "DensityReport",
-    "DimensionMismatch",
-    "EqualityHypothesisError",
-    "FactorPair",
-    "InequalityCheck",
-    "InvalidParams",
-    "MatrixFileError",
-    "NotDensityMatrix",
-    "NotHermitian",
-    "XMatrix",
-    "XParams",
-    "XsepError",
-    "build_factors",
-    "concurrence",
-    "corollary1_check",
-    "counterexample_gap",
-    "counterexample_pt_product",
-    "counterexample_state",
-    "det",
-    "equality_holds",
-    "factor_report",
-    "family_concurrence",
-    "frobenius_norm",
-    "hermitian_eigenvalues",
-    "is_psd",
-    "is_x_shaped",
-    "min_eigenvalue",
-    "mul",
-    "partial_transpose",
-    "ppt_verdict",
-    "product_state",
-    "pt_first",
-    "pt_gap",
-    "tarazaga_pd",
-    "theorem2_check",
-    "trace",
-    "validate_density",
-    "x_eigenvalues",
-    "zero_concurrence_region",
-]
+# Each public name and the module that defines it.
+_HOMES = {
+    "BipartiteDims": "bipartite",
+    "CriterionReport": "criteria",
+    "DEFAULT_TOL": "forms",
+    "DensityReport": "criteria",
+    "DimensionMismatch": "errors",
+    "EqualityHypothesisError": "errors",
+    "FactorPair": "xstate",
+    "InequalityCheck": "criteria",
+    "InvalidParams": "errors",
+    "MatrixFileError": "errors",
+    "NotDensityMatrix": "errors",
+    "NotHermitian": "errors",
+    "XMatrix": "xstate",
+    "XParams": "forms",
+    "XsepError": "errors",
+    "build_factors": "xstate",
+    "concurrence": "xstate",
+    "corollary1_check": "criteria",
+    "counterexample_gap": "criteria",
+    "counterexample_pt_product": "criteria",
+    "counterexample_state": "criteria",
+    "det": "linalg",
+    "equality_holds": "criteria",
+    "factor_report": "criteria",
+    "family_concurrence": "xstate",
+    "frobenius_norm": "linalg",
+    "hermitian_eigenvalues": "linalg",
+    "is_psd": "linalg",
+    "is_x_shaped": "xstate",
+    "min_eigenvalue": "linalg",
+    "mul": "linalg",
+    "partial_transpose": "bipartite",
+    "ppt_verdict": "criteria",
+    "product_state": "xstate",
+    "pt_first": "bipartite",
+    "pt_gap": "criteria",
+    "tarazaga_pd": "criteria",
+    "theorem2_check": "criteria",
+    "trace": "linalg",
+    "validate_density": "criteria",
+    "x_eigenvalues": "xstate",
+    "zero_concurrence_region": "xstate",
+}
+
+__all__ = list(_HOMES)
+
+_MODULES = ("bipartite", "cli", "criteria", "errors", "forms", "linalg", "matfile", "selftest",
+            "xstate")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,9 @@ test that a matrix fits its split, asked by both operators, by
 `criteria.validate_density` and by `matfile.encode`. Each (m, n) and
 subsystem has one flat permutation, built once and cached: an operator is
 one `take` of it, which makes the one copy of the result, and
-`_transposed_rows` applies the same permutation to a row list.
+`_transposed_rows` applies the same permutation to a row list. NumPy is
+imported by the functions that use it, not at module level: the CLI imports
+this module for every subcommand, `sweep` included, which runs without NumPy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
 
@@ -69,6 +69,8 @@ class BipartiteDims:
 
 def _square(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
     """a as a complex array and dims as BipartiteDims; DimensionMismatch unless a is mn x mn."""
+    import numpy as np
+
     dims = BipartiteDims.of(dims)
     a = np.asarray(a, dtype=complex)
     t = dims.total
@@ -86,6 +88,8 @@ def _permutation(m: int, n: int, first: bool) -> np.ndarray:
     Over the second subsystem result[(i,j), (k,l)] = a[(i,l), (k,j)]; over
     the first, a[(k,j), (i,l)].
     """
+    import numpy as np
+
     axes = (2, 1, 0, 3) if first else (0, 3, 2, 1)
     perm = np.arange((m * n) ** 2).reshape(m, n, m, n).transpose(axes).reshape(m * n, m * n)
     perm.flags.writeable = False

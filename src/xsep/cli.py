@@ -4,6 +4,11 @@ Subcommands: pt, analyze, construct, check-equality, sweep, counterexample,
 selftest. Exit codes: 0 success, 1 failed selftest, 2 command-line or
 matrix-file parse failure, 3 validation failure, 4 non-density input,
 5 I/O failure.
+
+At module level this imports only the NumPy-free modules: `forms`,
+`errors`, `matfile` and `bipartite`. The subcommands that need `criteria`,
+`linalg`, `xstate` or `selftest` import them when they run, so `sweep`,
+which computes on `forms` alone, never imports NumPy.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import math
 import sys
 
-from . import criteria, linalg, matfile, selftest, xstate
+from . import forms, matfile
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
 from .matfile import format_float as fmt
@@ -110,6 +115,8 @@ def cmd_pt(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import criteria, xstate
+
     matrix, dims = _load_input(args)
     density = criteria.validate_density(matrix, dims, args.tol)
     # The state passed validate_density under --tol; it is not checked again.
@@ -129,6 +136,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import criteria, linalg, xstate
+
     params = xstate.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
     pair = xstate.build_factors(params)
     rho = linalg.mul(pair.p1, pair.p2)
@@ -149,6 +158,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check_equality(args) -> int:
+    from . import criteria, xstate
+
     params = xstate.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
     pair = xstate.build_factors(params)
     report = criteria.factor_report(pair.p1, pair.p2, tol=args.tol)
@@ -171,38 +182,37 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     P2 (or the t1-scaled literal form); the concurrence and minimum
     partial-transpose eigenvalue are those of the trace-normalized
     product, which is the same state for every t1. The lattice is
-    evaluated per axis on Python scalars, with the closed forms of
-    `xstate` and `criteria`.
+    evaluated per axis on Python scalars, with the closed forms of `forms`.
     """
     try:
         d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
         if literal:
             d1 = d1 * t1 ** 4  # the t1-scaled second factor contributes t1^4 to its det
         # The largest left side on the lattice is at v1 = v2 = 0, where det(P2^G) = 1.
-        top = criteria.theorem2_lhs(d1)
+        top = forms.theorem2_lhs(d1)
     except OverflowError:
         top = math.inf
     if not math.isfinite(top):
         raise InvalidParams(f"t1 = {t1!r} overflows the left side 81 D^3 + 512 D")
-    rhs = criteria.THEOREM2_RHS
+    rhs = forms.THEOREM2_RHS
 
     step = 1.0 / (grid - 1)
     v_abs = [i * step for i in range(grid)]
     # Moduli of the corners v/4 of the normalized product, v1 down the
     # rows and v2 along the columns: |v e^{i phase} / 4|.
-    moduli = [linalg._moduli([complex(v * c / 4.0, v * s / 4.0) for v in v_abs])
+    moduli = [forms._moduli([complex(v * c / 4.0, v * s / 4.0) for v in v_abs])
               for c, s in ((math.cos(ph), math.sin(ph)) for ph in (phase1, phase2))]
     # Every cell has diagonal 1/4, so its concurrence is the larger, and its
     # minimum partial-transpose eigenvalue (partial transposition swaps the
     # corners) the smaller, of one term per corner modulus.
     terms = {}
     for m in {*moduli[0], *moduli[1]}:
-        terms[m] = (xstate.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
-                    linalg.hermitian_2x2(0.25, 0.25, m)[1])
+        terms[m] = (forms.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
+                    forms.hermitian_2x2(0.25, 0.25, m)[1])
     rendered = {x: fmt(x) for x in {x for pair in terms.values() for x in pair}}
     # One tuple per |v| and axis: its text, its factor of det(P2^G) =
     # (1 - |v1|^2)(1 - |v2|^2), and its two terms with their text.
-    v_axis = [(fmt(v), xstate.x_determinant(1.0, 1.0, 1.0, 1.0, v, 0.0)) for v in v_abs]
+    v_axis = [(fmt(v), forms.x_determinant(1.0, 1.0, 1.0, 1.0, v, 0.0)) for v in v_abs]
     row_axis, col_axis = ([(*vf, c, rendered[c], low, rendered[low])
                            for vf, (c, low) in zip(v_axis, map(terms.get, ms))] for ms in moduli)
 
@@ -214,7 +224,7 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
             p = d1 * (f_col * f_row)
             sides = inequality.get(p)
             if sides is None:
-                lhs = criteria.theorem2_lhs(p)
+                lhs = forms.theorem2_lhs(p)
                 sides = inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
             rows.append(
                 f"{a},{b},{sides},{ct_row if c_row >= c_col else ct_col},"
@@ -226,7 +236,7 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise InvalidParams(f"grid must be >= 2, got {args.grid}")
-    t1 = xstate.XParams.symmetric(args.t1, args.t1, 0.0, 0.0).t1
+    t1 = forms.XParams.symmetric(args.t1, args.t1, 0.0, 0.0).t1
     for name in ("phase1", "phase2"):
         value = getattr(args, name)
         if not math.isfinite(value):
@@ -238,6 +248,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import criteria, linalg
+
     density = criteria.validate_density(
         criteria.counterexample_state(), criteria.TWO_QUBITS, args.tol
     )
@@ -255,6 +267,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     return selftest.run()
 
 
@@ -277,7 +291,7 @@ def _add_factor_params(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_tol_json(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL,
+    sub.add_argument("--tol", type=float, default=forms.DEFAULT_TOL,
                      help="tolerance for Hermiticity/PSD decisions (default %(default)s)")
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 

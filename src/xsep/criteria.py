@@ -17,15 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import EqualityHypothesisError, InvalidParams, NotDensityMatrix, NotHermitian
-from .linalg import DEFAULT_TOL
-
-# Right-hand side of the two-qubit determinant inequality.
-THEOREM2_RHS = 2.0 ** 11 / 9.0
+# The Theorem-2 sides live in the NumPy-free `forms`; both stay importable from here.
+from .forms import DEFAULT_TOL, THEOREM2_RHS, theorem2_lhs
 
 # Entries of the reference separable X state whose partial transpose is
 # NOT the stated product of partially transposed factors. Both 2x2 block
@@ -108,11 +104,6 @@ def _real_det(a: np.ndarray, name: str) -> float:
             "the determinant criteria expect Hermitian-symmetric factors"
         )
     return d.real
-
-
-def theorem2_lhs(prod: float) -> float:
-    """Left side 81 D^3 + 512 D of the two-qubit inequality, D = D1 D2, of a Python float."""
-    return 81.0 * prod ** 3 + 512.0 * prod
 
 
 def _inequality(p1_pt: np.ndarray, p2_pt: np.ndarray, lhs_of: Callable[[float], float],

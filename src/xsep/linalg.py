@@ -17,8 +17,8 @@ alone, never the values. The memo pays because the verdict path sees few
 patterns; each of its spectra and determinants has the X pattern, or the
 all-zero pattern of a vanishing gap. A matrix with no zero in row 0, as any
 dense one, is one block and never reaches the memo. 1x1 and 2x2 blocks are
-solved in closed form (`hermitian_2x2`, the one 2x2 Hermitian form, exact
-to a few ulps, which `xstate` uses too); larger ones go to cyclic Jacobi
+solved in closed form (`forms.hermitian_2x2`, the one 2x2 Hermitian form,
+exact to a few ulps, which the sweep uses too); larger ones go to cyclic Jacobi
 rotations or to LU with partial pivoting. Jacobi, and LU's retry past the
 float range, share one block scaled by a power of two, `_scaled_block` of
 the row list. Jacobi rotates the strict upper triangle alone, keeping the
@@ -38,9 +38,8 @@ from operator import add, itemgetter, sub
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, XsepError
-
-# Default tolerance for Hermiticity / positive-semidefiniteness decisions.
-DEFAULT_TOL = 1e-10
+# The NumPy-free forms live in `forms`; each stays importable from here.
+from .forms import DEFAULT_TOL, _SPLIT, _modulus, _moduli, _times_pow2, hermitian_2x2
 
 # Jacobi sweeps stop once every off-diagonal magnitude drops below
 # JACOBI_RTOL times the Frobenius norm of the input.
@@ -55,9 +54,6 @@ _SPLIT_MEMO = 256
 # in full, and so does this constant in every Python version (CPython 3.14
 # no longer promotes a float operand).
 _HALF = 0.5 + 0j
-
-# Dekker's splitter 2**27 + 1: cuts a double into two halves whose products are exact.
-_SPLIT = 134217729.0
 
 
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -170,14 +166,6 @@ def _scaled_norm(a) -> tuple[float, int]:
     e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
     m = np.abs(np.ldexp(parts, -e).view(complex))
     return math.sqrt(np.square(m).sum()), e
-
-
-def _times_pow2(x: float, e: int) -> float:
-    """x * 2**e for every e: math.ldexp, exact in range, or inf of x's sign past the float maximum."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -318,22 +306,6 @@ def _hermitian_rows(rows: list[list[complex]]) -> tuple[float, tuple[int, int], 
     return defect, divmod(upper[gaps.index(defect)], n), [h[k:k + n] for k in range(0, n * n, n)]
 
 
-def _modulus(z: complex) -> float:
-    """abs(z), C's hypot on every host (not NumPy's SIMD one), or inf past the float maximum."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def _moduli(zs: list | tuple) -> list[float]:
-    """`_modulus` of each entry of zs: abs() mapped at C level, entry by entry past the maximum."""
-    try:
-        return list(map(abs, zs))
-    except OverflowError:
-        return list(map(_modulus, zs))
-
-
 def hermiticity_defect(a: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest |a[i,j] - conj(a[j,i])| of an `as_matrix` input and the entry pair achieving it."""
     defect, pair, _ = _hermitian_rows(as_matrix(a, name="Hermiticity input").tolist())
@@ -350,50 +322,6 @@ def _checked_rows(a, tol: float, name: str) -> list[list[complex]]:
             pair=(i, j),
         )
     return h
-
-
-def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
-    """Eigenvalues of [[a, c], [conj(c), b]], descending, each within a few ulps.
-
-    The package's one 2x2 Hermitian form. With c == 0 they are a and b;
-    otherwise the one of larger magnitude is mean +- hypot(half-gap, |c|),
-    taking the sign of the mean, so nothing cancels. The other is det / that
-    one, with det = ab - Re(c)^2 - Im(c)^2 rounded once from exact products:
-    on a block with a near-zero eigenvalue `mean - rad` would lose every
-    digit. The block is first scaled by a power of two, so that multiplying
-    the matrix by any factor from 1e-150 to 1e150 leaves the relative
-    accuracy as it is.
-    """
-    if c == 0:
-        return (a, b) if a >= b else (b, a)
-    e = math.frexp(max(abs(a), abs(b), abs(c.real), abs(c.imag)))[1]
-    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
-    cr, ci = math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
-    mean = 0.5 * (a + b)
-    big = mean + math.copysign(math.hypot(0.5 * (a - b), cr, ci), mean)
-    # Dekker's exact products (1971): x*y = p + (its rounding error), from
-    # the halves xh + xl = x that _SPLIT cuts. a*b, cr^2 and ci^2 in turn.
-    p = a * b
-    t = _SPLIT * a
-    xh = t - (t - a)
-    xl = a - xh
-    t = _SPLIT * b
-    yh = t - (t - b)
-    yl = b - yh
-    q = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    r = cr * cr
-    t = _SPLIT * cr
-    xh = t - (t - cr)
-    xl = cr - xh
-    s = ((xh * xh - r) + xh * xl + xl * xh) + xl * xl
-    u = ci * ci
-    t = _SPLIT * ci
-    xh = t - (t - ci)
-    xl = ci - xh
-    v = ((xh * xh - u) + xh * xl + xl * xh) + xl * xl
-    det = math.fsum((p, q, -r, -s, -u, -v))
-    big, other = _times_pow2(big, e), _times_pow2(det / big, e)
-    return (big, other) if big >= other else (other, big)
 
 
 def _jacobi_spectrum(a: list[list[complex]], thresh: float) -> list[float]:

@@ -9,23 +9,27 @@ Example:
 
 Serialization is canonical (fixed key order, one entry pair per line), so
 re-encoding a decoded file is byte-stable and diffs stay readable.
+`encode` and `decode` import NumPy when called, not at module level: the
+CLI imports this module for every subcommand, `sweep` included, which runs
+without NumPy.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
-
-import numpy as np
 
 from . import bipartite
 from .bipartite import BipartiteDims
 from .errors import InvalidParams, MatrixFileError
+# The report number format lives in the NumPy-free `forms`; it stays importable from here.
+from .forms import format_float
 
 
 def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -> str:
     """The canonical file text of a; a given dims must fit a (`bipartite._square`)."""
+    import numpy as np
+
     a = np.asarray(a, dtype=complex)
     lines = ['{', f'  "dim": {a.shape[0]},']
     if dims is not None:
@@ -44,6 +48,8 @@ def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -
 
 def decode(text: str) -> tuple[np.ndarray, BipartiteDims | None]:
     """Parse a matrix file; MatrixFileError on bad input, on bad JSON with its UTF-8 byte offset."""
+    import numpy as np
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -106,19 +112,3 @@ def save(path: str, a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None 
     text = encode(a, dims)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def format_float(x: float) -> str:
-    """Stable 12-digit rendering used in reports and CSV output.
-
-    Fixed point with 12 decimals in the everyday range, scientific
-    notation with a lowercase exponent outside it.
-    """
-    if x == 0.0:
-        return "0.000000000000"
-    if not math.isfinite(x):
-        return repr(x)
-    ax = abs(x)
-    if 1e-4 <= ax < 1e16:
-        return f"{x:.12f}"
-    return f"{x:.12e}"

@@ -13,7 +13,8 @@ phased entries.
 
 Each X-state fact is read by one rule: a modulus by `linalg._modulus` (inf
 past the float maximum), the trace by `linalg._trace`, the spectrum by
-`linalg._spectrum`. The concurrence is `x_concurrence` (Wootters 1998);
+`linalg._spectrum`. The concurrence is `x_concurrence` (Wootters 1998),
+which lives with `XParams` and `x_determinant` in the NumPy-free `forms`;
 `matrix_concurrence`, the one reader of an X state off a 4x4 array, serves
 `xsep analyze`, `criteria.factor_report` and `concurrence` alike.
 """
@@ -21,69 +22,16 @@ past the float maximum), the trace by `linalg._trace`, the spectrum by
 from __future__ import annotations
 
 import cmath
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidParams
-
-# Slack on the |v| <= 1 bound, absorbing roundoff in moduli of unit phases:
-# the modulus of complex(cos t, sin t) stays within a few ulps of 1.
-_V_BOUND_SLACK = 4 * sys.float_info.epsilon
-
-
-def _checked(value, name: str, real: bool) -> complex | float:
-    """value as a finite complex or, if real, a finite float: its imaginary part must be 0."""
-    z = complex(value)
-    if real:
-        if z.imag != 0.0:
-            raise InvalidParams(f"{name} must be real, got {value!r}")
-        z = z.real
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidParams(f"{name} must be finite, got {z!r}")
-    return z
-
-
-@dataclass(frozen=True)
-class XParams:
-    """Parameters (t1, t2, t3, t4, v1, v2) of the factor pair.
-
-    The diagonal weights must be nonnegative and the off-diagonal
-    amplitudes must satisfy |v1| <= 1 and |v2| <= 1, otherwise the second
-    factor is not positive semi-definite.
-    """
-
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    v1: complex
-    v2: complex
-
-    def __post_init__(self):
-        for name in ("t1", "t2", "t3", "t4"):
-            t = _checked(getattr(self, name), name, real=True)
-            if t < 0:
-                raise InvalidParams(f"{name} must be nonnegative, got {t}")
-            object.__setattr__(self, name, t)
-        for name in ("v1", "v2"):
-            v = _checked(getattr(self, name), name, real=False)
-            modulus = linalg._modulus(v)
-            if modulus > 1.0 + _V_BOUND_SLACK:
-                raise InvalidParams(f"|{name}| must be <= 1, got {modulus}")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def symmetric(cls, t1: float, t2: float, v1: complex, v2: complex) -> "XParams":
-        """Parameters with t3 = t2 and t4 = t1, yielding a Hermitian PSD product."""
-        return cls(t1, t2, t2, t1, v1, v2)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.t3 == self.t2 and self.t4 == self.t1
+# The NumPy-free forms live in `forms`; each stays importable from here.
+from .forms import (
+    _V_BOUND_SLACK, XParams, _checked, _sqrt_product, x_concurrence, x_determinant,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,36 +118,6 @@ def product_state(params: XParams) -> XMatrix:
 def x_eigenvalues(x: XMatrix) -> np.ndarray:
     """The eigenvalues of an X matrix, descending, +0.0 first: `linalg._spectrum` of its rows."""
     return np.array(linalg._spectrum(x.matrix().tolist()))
-
-
-# Closed forms on the entries of an X matrix: four diagonal floats and the
-# corner moduli |c14|, |c23|. They take Python floats, which keeps them off
-# NumPy's per-call overhead; the sweep calls them once per distinct modulus.
-
-
-def x_determinant(d11, d22, d33, d44, abs_c14, abs_c23) -> float:
-    """Determinant of an X matrix: (d11*d44 - |c14|^2) (d22*d33 - |c23|^2)."""
-    return (d11 * d44 - abs_c14 * abs_c14) * (d22 * d33 - abs_c23 * abs_c23)
-
-
-def _sqrt_product(a: float, b: float) -> float:
-    """sqrt(max(a*b, 0)), also where a*b underflows or overflows.
-
-    Past the normal floats the factors are scaled by 4**-i and 4**-j and the
-    root back by 2**(i + j); both are exact, so an in-range root keeps its bits.
-    """
-    p = a * b
-    if sys.float_info.min <= p <= sys.float_info.max:
-        return math.sqrt(p)
-    if (a < 0.0) != (b < 0.0):
-        return 0.0
-    i, j = math.frexp(a)[1] // 2, math.frexp(b)[1] // 2
-    return math.ldexp(math.sqrt(math.ldexp(a, -2 * i) * math.ldexp(b, -2 * j)), i + j)
-
-
-def x_concurrence(d11, d22, d33, d44, abs_c14, abs_c23):
-    """C = 2 max{0, |c23| - sqrt(d11*d44), |c14| - sqrt(d22*d33)} of a normalized X state."""
-    return 2.0 * max(0.0, abs_c23 - _sqrt_product(d11, d44), abs_c14 - _sqrt_product(d22, d33))
 
 
 def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:

@@ -670,3 +670,28 @@ class TestSharedEvaluation:
                 assert report.theorem2_lhs == criteria.theorem2_check(pair.p1, pair.p2).lhs
             else:
                 assert not report.equality_holds
+
+
+class TestVerdictTies:
+    """Each verdict holds exactly at its tie: `min_pt >= -tol` and `lhs <= rhs` pass on equality."""
+
+    def test_validate_density_is_ppt_exactly_at_tol(self):
+        phi = np.array([1.0, 0.0, 0.0, 1.0])
+        bell = np.outer(phi, phi).astype(complex) / 2.0  # |Phi+><Phi+|, every entry exact
+        assert criteria.validate_density(bell, DIMS22, 0.5).min_pt_eigenvalue == -0.5
+        assert criteria.validate_density(bell, DIMS22, 0.5).ppt
+        assert not criteria.validate_density(bell, DIMS22, math.nextafter(0.5, 0.0)).ppt
+
+    def test_factor_report_is_ppt_exactly_at_tol(self):
+        pair = family_pair(0.1, 0.4, 0.0, 1.0)
+        min_pt = criteria.factor_report(pair.p1, pair.p2).min_pt_eigenvalue
+        assert min_pt == -0.30000000000000004
+        assert criteria.factor_report(pair.p1, pair.p2, tol=-min_pt).ppt
+        below = math.nextafter(-min_pt, 0.0)
+        assert not criteria.factor_report(pair.p1, pair.p2, tol=below).ppt
+
+    def test_inequality_is_satisfied_at_equality(self):
+        eye = np.eye(4, dtype=complex)
+        rhs = criteria.THEOREM2_RHS
+        check = criteria._inequality(eye, eye, lambda prod: rhs * prod, rhs)
+        assert check == (rhs, rhs, True)
