@@ -18,12 +18,13 @@ patterns; each of its spectra and determinants has the X pattern, or the
 all-zero pattern of a vanishing gap. A matrix with no zero in row 0, as any
 dense one, is one block and never reaches the memo. 1x1 and 2x2 blocks are
 solved in closed form (`forms.hermitian_2x2`, the one 2x2 Hermitian form,
-exact to a few ulps, which the sweep uses too); larger ones go to cyclic Jacobi
-rotations or to LU with partial pivoting. Jacobi, and LU's retry past the
-float range, share one block scaled by a power of two, `_scaled_block` of
-the row list. Jacobi rotates the strict upper triangle alone, keeping the
-diagonal as a list of floats. The factors of every determinant block make
-one product, kept as a mantissa and an exponent.
+exact to a few ulps, which the sweep uses too); larger ones go to Householder
+tridiagonalization and implicit QL, or to LU with partial pivoting. The
+eigensolver, and LU's retry past the float range, share one block scaled by
+the power of two of its largest part, `_scaled_block` of the row list. The
+eigensolver reads the diagonal and the strict upper triangle alone, and
+makes no NumPy call. The factors of every determinant block make one
+product, kept as a mantissa and an exponent.
 Nothing uses an installed LAPACK.
 """
 
@@ -32,8 +33,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, sub
+from operator import add, attrgetter, itemgetter, sub
+from operator import mul as _times  # `mul` is the matrix product below
 
 import numpy as np
 
@@ -41,11 +44,15 @@ from .errors import DimensionMismatch, NotHermitian, XsepError
 # The NumPy-free forms live in `forms`; each stays importable from here.
 from .forms import DEFAULT_TOL, _SPLIT, _modulus, _moduli, _times_pow2, hermitian_2x2
 
-# Jacobi sweeps stop once every off-diagonal magnitude drops below
-# JACOBI_RTOL times the Frobenius norm of the input.
-JACOBI_RTOL = 1e-13
+# QL sweeps allowed per eigenvalue, as in Numerical Recipes' tqli.
+_MAX_QL_SWEEPS = 30
 
-_MAX_JACOBI_SWEEPS = 100
+# A column of squared norm below this, in a block whose largest part is near
+# 1, is below the rounding of the block: the Householder step leaves it out.
+_TINY_COLUMN = 2.0 ** -1000
+
+# The real and imaginary part of a complex, as a pair.
+_PARTS = attrgetter("real", "imag")
 
 # Entries of the split memo: distinct zero patterns, each a few hundred bytes.
 _SPLIT_MEMO = 256
@@ -190,23 +197,41 @@ def det(a: np.ndarray) -> complex:
     for idx in _components(rows):
         block = _block_factors(rows, idx)
         if not all(map(cmath.isfinite, block)):
-            s = math.frexp(max(abs(x) for i in idx for j in idx
-                               for x in (rows[i][j].real, rows[i][j].imag)))[1]
-            block = _block_factors(_scaled_block(rows, idx, s), range(len(idx)))
+            scaled, s = _scaled_block(rows, idx)
+            block = _block_factors(scaled, range(len(idx)))
             e += len(idx) * s
         factors += block
     return _product(factors, e)
 
 
-def _scaled_block(rows: list[list[complex]], idx: list[int], e: int) -> list[list[complex]]:
-    """The block of `rows` on the indices idx times 2**-e, as new rows; exact in range.
+def _scaled_block(rows: list[list[complex]], idx: list[int]) -> tuple[list[list[complex]], int]:
+    """(b, e): the block of `rows` on the indices idx times 2**-e, as new rows, and e.
 
-    ldexp acts on each real and imaginary part: 2**-e itself is out of range
-    when the block is deep in the subnormals or near the float maximum. In
-    range, a spectrum or determinant scaled back has the unscaled run's bits.
+    e is the exponent of the block's largest real or imaginary part, so b's
+    largest part is in [0.5, 1). That part is at most the largest `_modulus`
+    M and at least M / sqrt(2): e is M's exponent, or one less when no entry
+    of modulus 2**(e-1) or more has a part that large; a modulus past the
+    float maximum has a part above 2**1023. Each entry is multiplied by the
+    complex 2**-e, exact in range, or, when 2**-e is past the float maximum (a
+    block deep in the subnormals), by two powers of two, both exact. So in
+    range a spectrum or determinant scaled back has the unscaled run's bits,
+    up to the sign of a zero part.
     """
-    return [[complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e))
-             for w in map(row.__getitem__, idx)] for row in map(rows.__getitem__, idx)]
+    m = len(idx)
+    if m == len(rows):  # the whole matrix: idx is every index, in order
+        entries = list(chain.from_iterable(rows))
+    else:
+        entries = [row[j] for row in map(rows.__getitem__, idx) for j in idx]
+    moduli = _moduli(entries)
+    big = max(moduli)
+    e = math.frexp(big)[1] if big < math.inf else 1024
+    half = math.ldexp(1.0, e - 1)
+    near = compress(entries, map(half.__le__, moduli))  # the entries that can have a part >= half
+    if not any(map(half.__le__, map(abs, chain.from_iterable(map(_PARTS, near))))):
+        e -= 1
+    for k in ((-e,) if e >= -1023 else (1023, -e - 1023)):
+        entries = list(map(_times, entries, repeat(complex(math.ldexp(1.0, k)))))
+    return [entries[i:i + m] for i in range(0, m * m, m)], e
 
 
 def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[complex]:
@@ -324,74 +349,124 @@ def _checked_rows(a, tol: float, name: str) -> list[list[complex]]:
     return h
 
 
-def _jacobi_spectrum(a: list[list[complex]], thresh: float) -> list[float]:
-    """Eigenvalues of an exactly Hermitian matrix, as its row list, by cyclic Jacobi rotations.
+def _householder_ql(a: list[list[complex]]) -> list[float]:
+    """Eigenvalues of an exactly Hermitian matrix of order >= 3, as its row list, unsorted.
 
-    Sweeps stop once every off-diagonal magnitude is at most `thresh`. The
-    work runs on lists of Python complex, where a rotation of a matrix of
-    order <= 16 costs less than the NumPy calls that would make it; the rows
-    are rotated in place. Only the strict upper triangle is read and rotated:
-    an entry below the diagonal is never needed, as it is the conjugate of
-    its mirror. The diagonal is a list of floats, updated from the rotation
-    alone (Rutishauser's form).
+    Two stages, with no eigenvectors. Householder reflectors H = I - tau v v^H,
+    formed as LAPACK's zlarfg forms them and applied from both sides as its
+    zhetd2 does, reduce the matrix to a real symmetric tridiagonal (d, e) with
+    the same spectrum; `_implicit_ql` then takes its eigenvalues. Only the
+    diagonal and the strict upper triangle of `a` are read: the trailing
+    matrix starts as their Hermitian completion, kept flat and row-major,
+    turned end for end if its last diagonal entry is the larger in magnitude,
+    and each step splits off its head row: a matrix graded along its diagonal
+    either way is reduced from its large end. Its matrix-vector product and dot
+    products are `reduce(add, map(_times, ...))`, and its rank-2 update is one
+    `map` over the whole trailing matrix: the O(n^3) work runs at C level,
+    summed left to right. Every product is complex x complex or float x float
+    and no sum is the builtin `sum`, so the bits are the same on every host
+    and Python. The caller scales `a` so that its largest part is near 1: no
+    square overflows, and a column of squared norm below `_TINY_COLUMN` is
+    below the rounding of the block, and is left out.
     """
     n = len(a)
-    d = [a[k][k].real for k in range(n)]
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            row_p = a[p]
-            above = a[:p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                b = abs(apq)
-                if b <= thresh:
-                    continue
-                rotated = True
-                phase = apq / b
-                alpha = d[p]
-                gamma = d[q]
-                tau = (gamma - alpha) / (2.0 * b)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary V: V[p,p]=V[q,q]=c, V[p,q]=s*phase, V[q,p]=-s*conj(phase);
-                # a <- V^dagger a V changes only rows and columns p and q. Entry
-                # (k, p) for k > p is read and written as the conjugate of (p, k).
-                # IEEE complex products satisfy conj(z*w) == conj(z)*conj(w), so
-                # each entry has the bits it would have in the full matrix, up to
-                # the sign of a zero imaginary part, which never reaches |a_pq|.
-                s_phase = s * phase
-                s_conj = s_phase.conjugate()
-                # Up to CPython 3.13, float * complex promotes the float to
-                # complex(c, 0.0) on every call; promoting once keeps the bits.
-                c = complex(c)
-                row_q = a[q]
-                for row_k in above:
-                    akp = row_k[p]
-                    akq = row_k[q]
-                    row_k[p] = c * akp - s_conj * akq
-                    row_k[q] = s_phase * akp + c * akq
-                for k in range(p + 1, q):
-                    row_k = a[k]
-                    apk = row_p[k]
-                    akq = row_k[q]
-                    row_p[k] = c * apk - s_phase * akq.conjugate()
-                    row_k[q] = s_phase * apk.conjugate() + c * akq
-                for k in range(q + 1, n):
-                    apk = row_p[k]
-                    aqk = row_q[k]
-                    row_p[k] = c * apk - s_phase * aqk
-                    row_q[k] = s_conj * apk + c * aqk
-                row_p[q] = 0j
-                d[p] = alpha - t * b
-                d[q] = gamma + t * b
-        if not rotated:
-            return d
-    raise ArithmeticError("Jacobi eigensolver did not converge")
+    t = list(chain.from_iterable(a))
+    for i in range(1, n):  # row i below the diagonal: the conjugate of column i above it
+        t[i * n:i * n + i] = map(complex.conjugate, t[i:i * n:n])
+    if abs(t[-1].real) > abs(t[0].real):  # start from the large end: P a P^T, P the reversal
+        t.reverse()
+    d, e = [], []
+    for m in range(n - 1, 1, -1):  # the order of the trailing matrix once the head row is off
+        head = t[:m + 1]
+        d.append(head[0].real)
+        t = list(compress(t[m + 1:], ([False] + [True] * m) * m))
+        # The column below the diagonal is x = conj(head[1:]) = (alpha, x[1:]).
+        x = list(map(complex.conjugate, head[1:]))
+        ar, ai = x[0].real, x[0].imag
+        tail = functools.reduce(add, map(_times, x[1:], head[2:])).real  # ||x[1:]||^2
+        beta = ar * ar + ai * ai + tail
+        if not (tail or ai) or beta < _TINY_COLUMN:
+            e.append(ar)  # H = I: x is (ar, 0, ..., 0), or negligible
+            continue
+        # H^H x = beta e1 with beta real; v = (1, x[1:] / (alpha - beta)), where
+        # |alpha - beta| >= |beta| >= 2**-500, so the reciprocal is finite.
+        beta = -math.copysign(math.sqrt(beta), ar)
+        tau = complex((beta - ar) / beta, -ai / beta)
+        v = [1 + 0j, *map(_times, x[1:], repeat((1 + 0j) / complex(ar - beta, ai)))]
+        e.append(beta)
+        # p = tau T v, w = p - (tau/2)(p^H v) v, then T <- T - v w^H - w v^H.
+        q = map(_times, t, v * m)  # T[i][j] v[j], flat; zip(*[q] * m) takes it row by row
+        p = list(map(_times, map(functools.reduce, repeat(add), zip(*[q] * m)), repeat(tau)))
+        c = (_HALF * tau) * functools.reduce(add, map(_times, map(complex.conjugate, p), v))
+        w = list(map(sub, p, map(_times, v, repeat(c))))
+        # v w^H and w v^H, flat: row i is v[i] (w[i]) times the conjugate of w (v).
+        rows = repeat(m)
+        wc, vc = list(map(complex.conjugate, w)) * m, list(map(complex.conjugate, v)) * m
+        vw = map(_times, chain.from_iterable(map(repeat, v, rows)), wc)
+        wv = map(_times, chain.from_iterable(map(repeat, w, rows)), vc)
+        t = list(map(sub, map(sub, t, vw), wv))
+    d += [t[0].real, t[3].real]
+    e.append(math.hypot(t[1].real, t[1].imag))
+    return _implicit_ql(d, e)
+
+
+def _implicit_ql(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the real symmetric tridiagonal (d, e) by implicit QL, in d; e is spent.
+
+    tqli of Numerical Recipes (after EISPACK's tql1, Bowdler et al. 1968)
+    without eigenvectors: each sweep takes Wilkinson's shift from the leading
+    2x2 of the unreduced block d[l..m] and chases it up by plane rotations.
+    e[k] couples d[k] and d[k + 1], and counts as negligible once
+    |e[k]| <= eps (|d[k]| + |d[k + 1]|). Two choices follow LAPACK's dsterf:
+    the matrix is turned end for end when its last diagonal entry is the
+    smaller in magnitude (QR in place of QL), so that a graded matrix keeps
+    its small eigenvalues to high relative accuracy; and an unreduced 2x2
+    block takes the closed form `hermitian_2x2`, as dsterf takes dlae2. An
+    eigenvalue not found within _MAX_QL_SWEEPS sweeps raises ArithmeticError.
+    """
+    n = len(d)
+    if abs(d[-1]) < abs(d[0]):  # QL deflates at the top: put the small end there
+        d.reverse()
+        e.reverse()
+    e.append(0.0)
+    hypot, copysign, eps = math.hypot, math.copysign, sys.float_info.epsilon  # eps = 2**-52
+    for l in range(n):
+        for sweep in range(_MAX_QL_SWEEPS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if m == l + 1:
+                d[l], d[m] = hermitian_2x2(d[l], d[m], complex(e[l]))
+                e[l] = 0.0
+                break
+            if sweep == _MAX_QL_SWEEPS:
+                raise ArithmeticError("QL eigensolver did not converge")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + copysign(hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                e[i + 1] = r = hypot(f, g)
+                if not r:  # f and g underflowed: d[i + 1] splits off
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -408,11 +483,10 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
     """The eigenvalues of the finite, exactly Hermitian row list h, descending; h is not checked.
 
     Each block of the zero pattern is solved on its own: 1x1 and 2x2 blocks
-    in closed form, larger ones by Jacobi under the whole matrix's threshold
-    JACOBI_RTOL * ||h||_F, taken once in `_scaled_norm`'s units so that on a
-    tiny `h` it does not underflow to 0.
+    in closed form, larger ones by `_householder_ql` on the block scaled by
+    the power of two of its largest part, and scaled back.
     """
-    w, norm = [], None
+    w = []
     for idx in _components(h):
         if len(idx) == 1:
             w.append(h[idx[0]][idx[0]].real)
@@ -420,9 +494,8 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
             i, j = idx
             w += hermitian_2x2(h[i][i].real, h[j][j].real, h[i][j])
         else:
-            r, e = norm = norm or _scaled_norm(h)
-            block = _scaled_block(h, idx, e)
-            w += [_times_pow2(x, e) for x in _jacobi_spectrum(block, JACOBI_RTOL * r)]
+            block, e = _scaled_block(h, idx)
+            w += [_times_pow2(x, e) for x in _householder_ql(block)]
     return _descending(w)
 
 

@@ -56,8 +56,9 @@ DENSE_UNITARY = np.eye(4) - 2.0 * np.outer(_V, _V.conj()) / np.vdot(_V, _V).real
 def densify(m):
     """U m U^H for the dense unitary U: the spectrum of m, with no zero entry.
 
-    The eigensolver then finds a single block and runs Jacobi on the whole
-    matrix instead of the closed form it uses on the 2x2 blocks of an X matrix.
+    The eigensolver then finds a single block and runs its dense solver,
+    Householder tridiagonalization and implicit QL, on the whole matrix
+    instead of the closed form it uses on the 2x2 blocks of an X matrix.
     """
     dense = DENSE_UNITARY @ m @ DENSE_UNITARY.conj().T
     assert np.all(dense != 0)

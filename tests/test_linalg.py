@@ -383,6 +383,43 @@ class TestTimesPow2:
         assert linalg._times_pow2(1.5, -5000) == 0.0
 
 
+class TestScaledBlock:
+    @staticmethod
+    def largest_part_exponent(rows, idx):
+        return math.frexp(max(abs(x) for i in idx for j in idx
+                              for x in (rows[i][j].real, rows[i][j].imag)))[1]
+
+    def test_exponent_is_that_of_the_largest_part(self, rng):
+        # Parts at and next to powers of two, of both signs, at every scale,
+        # and moduli on both sides of the largest part's power of two.
+        for _ in range(3000):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(-1074, 1024))
+            mantissas = rng.choice([1.0, 0.75, 0.5, 0.5 + 2.0 ** -52, 1.0 - 2.0 ** -53, 0.0], size=(n, n, 2))
+            signs = rng.choice([-1.0, 1.0], size=(n, n, 2))
+            parts = np.ldexp(mantissas * signs, k)
+            if not parts.any():
+                continue
+            rows = (parts[..., 0] + 1j * parts[..., 1]).tolist()
+            idx = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            if not any(rows[i][j] for i in idx for j in idx):
+                continue
+            block, e = linalg._scaled_block(rows, idx)
+            assert e == self.largest_part_exponent(rows, idx)
+            assert 0.5 <= max(abs(x) for row in block for z in row for x in (z.real, z.imag)) < 1.0
+
+    def test_a_modulus_past_the_float_maximum(self):
+        rows = [[1.5e308 + 1.5e308j, 1.0], [1.0, -1e308]]
+        block, e = linalg._scaled_block(rows, [0, 1])
+        assert e == 1024 and block[0][0] == math.ldexp(1.5e308, -1024) * (1 + 1j)
+
+    def test_scaling_is_exact_deep_in_the_subnormals(self):
+        rows = [[complex(5e-324, -1e-323), 3e-323], [2e-323, 0.0]]
+        block, e = linalg._scaled_block(rows, [0, 1])
+        assert e == -1071
+        assert block == [[complex(2.0 ** -3, -2.0 ** -2), 0.75], [0.5, 0.0]]
+
+
 class TestHermitianEigenvalues:
     def test_p2_spectrum_golden(self):
         pair = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.5, 0.3))
@@ -618,11 +655,12 @@ def mp_eigenvalues(h):
 
 
 class TestDenseJacobi:
-    """Connected matrices, so the whole matrix goes to Jacobi.
+    """Connected matrices, so the whole matrix goes to the dense solver, `_householder_ql`.
 
-    The reference is exact where the spectrum is known and mpmath otherwise:
-    eigvalsh is itself off by up to about 4 eps ||A||_F at n = 3, more than
-    the n eps ||A||_F asked of Jacobi there.
+    No test here depends on how that solver works. The reference is exact
+    where the spectrum is known and 30-digit mpmath otherwise: eigvalsh is
+    itself off by up to about 4 eps ||A||_F at n = 3, more than the
+    n eps ||A||_F asked of the solver there.
     """
 
     @staticmethod
@@ -648,17 +686,77 @@ class TestDenseJacobi:
             self.assert_close(h, ref, n * EPS * np.linalg.norm(h))
 
     @pytest.mark.parametrize("spread", [1e-6, 1e-12])
-    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("n", [3, 4, 9, 16])
     def test_clustered(self, rng, n, spread):
-        # Sweeps stop at off-diagonals <= JACOBI_RTOL ||A||_F, so within a
-        # cluster tighter than that threshold an eigenvalue is resolved only to
-        # ||off-diagonal||_2 < n * JACOBI_RTOL * ||A||_F (Weyl), not to n eps.
+        # Half the spectrum within `spread` of 1: each eigenvalue of the
+        # cluster is still resolved to n eps ||A||_F.
         for _ in range(10):
             w = np.concatenate([1.0 + spread * rng.standard_normal(n // 2),
                                 -2.0 + 1e-3 * rng.standard_normal(n - n // 2)])
             h = with_spectrum(rng, w)
-            tol = n * (EPS + linalg.JACOBI_RTOL) * np.linalg.norm(h)
-            self.assert_close(h, np.linalg.eigvalsh(h)[::-1], tol)
+            self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h))
+
+    @staticmethod
+    def graded(rng, n, scale):
+        """D H D, H positive definite and well conditioned, D = diag(scale)."""
+        g = random_complex(rng, n)
+        h = g @ g.conj().T + n * np.eye(n)
+        return scale[:, None] * (0.5 * (h + h.conj().T)) * scale[None, :]
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16])
+    def test_graded_positive_definite(self, rng, n):
+        # D from 1 down to 1e-6, or up: the entries span twelve orders of
+        # magnitude, and the smallest eigenvalue, about 1e-12, keeps all but
+        # its last few digits whichever end is large.
+        for scale in (np.logspace(0, -6, n), np.logspace(-6, 0, n)):
+            for _ in range(3):
+                h = self.graded(rng, n, scale)
+                ref = mp_eigenvalues(h)
+                self.assert_close(h, ref, n * EPS * np.linalg.norm(h))
+                assert abs(linalg.hermitian_eigenvalues(h)[-1] / ref[-1] - 1) <= 1e-12
+
+    def test_graded_to_1e12(self, rng):
+        # D from 1 to 1e-12 at n = 16: the smallest eigenvalue is about 1e-24
+        # times the largest, checked relatively against 60 digits.
+        mpmath = pytest.importorskip("mpmath")
+        for scale in (np.logspace(0, -12, 16), np.logspace(-12, 0, 16)):
+            h = self.graded(rng, 16, scale)
+            with mpmath.workdps(60):
+                ref = float(min(mpmath.eighe(mpmath.matrix(h.tolist()), eigvals_only=True)))
+            assert abs(linalg.hermitian_eigenvalues(h)[-1] / ref - 1) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_partial_transpose_of_a_state(self, rng, k):
+        # rho^G of a random k x k state is indefinite: PPT is decided on the
+        # sign of its smallest eigenvalue.
+        for _ in range(5):
+            g = random_complex(rng, k * k)
+            rho = g @ g.conj().T
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+            h = partial_transpose(rho, (k, k))
+            self.assert_close(h, mp_eigenvalues(h), k * k * EPS * np.linalg.norm(h))
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_wilkinson_tridiagonal(self, n):
+        # Already real tridiagonal, so every reflector is the identity and QL
+        # gets the matrix as it is; its largest eigenvalues come in pairs that
+        # agree to many digits.
+        h = np.diag(np.abs(np.arange(n) - (n - 1) / 2)).astype(complex)
+        h += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h))
+
+    def test_negligible_columns(self):
+        # Couplings of 1e-200 move no eigenvalue of diag(1, ..., 5) by an ulp.
+        # Their squares underflow, so a Householder step must not divide by
+        # the norm they make; with a coupling of 0.5 across the corner, the
+        # first step mixes them with it.
+        for coupling in (1e-200, 1e-200j, 1e-200 - 1e-200j):
+            h = np.diag(np.arange(1.0, 6.0)).astype(complex)
+            for i in range(4):
+                h[i, i + 1], h[i + 1, i] = coupling, np.conj(coupling)
+            self.assert_close(h, np.arange(5.0, 0.0, -1.0), 0.0)
+            h[0, 4] = h[4, 0] = 0.5
+            self.assert_close(h, mp_eigenvalues(h), 5 * EPS * np.linalg.norm(h))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-170])
     def test_scaled(self, rng, scale):
@@ -673,7 +771,7 @@ class TestDenseJacobi:
 
     @pytest.mark.parametrize("scale", [2.0 ** -1040, 1e-312])
     def test_subnormal(self, rng, scale):
-        # Here JACOBI_RTOL * ||A||_F underflows to 0 unless Jacobi runs scaled.
+        # The block is solved scaled up by a power of two, and scaled back.
         # Results land among the subnormals, so allow a few of their ulps.
         ulps = 4 * math.ldexp(1.0, -1074)
         m = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=complex)
@@ -685,17 +783,26 @@ class TestDenseJacobi:
     @pytest.mark.parametrize("n", [3, 9, 16])
     def test_reads_only_the_upper_triangle(self, rng, n):
         h = random_hermitian(rng, n)
-        thresh = linalg.JACOBI_RTOL * linalg.frobenius_norm(h)
         dirty = h.copy()
         dirty[np.tril_indices(n, -1)] = np.nan
-        want = linalg._jacobi_spectrum(h.tolist(), thresh)
-        got = linalg._jacobi_spectrum(dirty.tolist(), thresh)
+        want = linalg._householder_ql(h.tolist())
+        got = linalg._householder_ql(dirty.tolist())
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_sweep_limit_raises(self, rng, monkeypatch):
-        monkeypatch.setattr(linalg, "_MAX_JACOBI_SWEEPS", 0)
+        monkeypatch.setattr(linalg, "_MAX_QL_SWEEPS", 0)
         with pytest.raises(ArithmeticError, match="did not converge"):
             linalg.hermitian_eigenvalues(random_hermitian(rng, 4))
+
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("n", [3, 9, 16])
+    def test_power_of_two_scaling_keeps_the_bits(self, rng, n, k):
+        # _spectrum(h * 2**k) is _spectrum(h) * 2**k, bit for bit.
+        for _ in range(5):
+            h = random_hermitian(rng, n)
+            scaled = np.ldexp(h.real, k) + 1j * np.ldexp(h.imag, k)
+            want = [math.ldexp(x, k) for x in linalg._spectrum(h.tolist())]
+            assert np.array(linalg._spectrum(scaled.tolist())).tobytes() == np.array(want).tobytes()
 
 
 class TestMinEigenvalue:
@@ -782,21 +889,24 @@ class TestBlockSplit:
         ref = np.linalg.det(m)
         assert abs(linalg.det(m) - ref) <= 1e-12 * abs(ref)
 
-    def test_norm_is_taken_once_per_matrix(self, rng, monkeypatch):
-        # Three dense 3x3 blocks share the Jacobi threshold of the whole
-        # matrix, so one norm serves them all; an X matrix, all 2x2, takes none.
-        calls = []
-        norm = linalg._scaled_norm
-        monkeypatch.setattr(linalg, "_scaled_norm", lambda a: calls.append(1) or norm(a))
+    def test_each_block_is_scaled_on_its_own(self, rng, monkeypatch):
+        # Three dense 3x3 blocks 2**1200 apart: each is solved on the power of
+        # two of its own largest part, so each is resolved to its own norm.
+        # Neither that spectrum nor an X matrix's makes a NumPy call.
         h = np.zeros((9, 9), dtype=complex)
-        for k in (0, 3, 6):
-            h[k:k + 3, k:k + 3] = random_hermitian(rng, 3)
+        want = []
+        for start, k in zip((0, 3, 6), (600, 0, -600)):
+            b = random_hermitian(rng, 3)
+            h[start:start + 3, start:start + 3] = np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
+            want += [(math.ldexp(x, k), math.ldexp(3 * EPS * np.linalg.norm(b), k))
+                     for x in mp_eigenvalues(b)]
         assert sorted(map(len, linalg._components(h.tolist()))) == [3, 3, 3]
-        w = linalg.hermitian_eigenvalues(h)
-        assert len(calls) == 1
-        assert np.max(np.abs(w - np.linalg.eigvalsh(h)[::-1])) <= 1e-12 * np.linalg.norm(h)
-        linalg.hermitian_eigenvalues(random_x_matrix(rng))
-        assert len(calls) == 1
+        x = random_x_matrix(rng)
+        monkeypatch.setattr(linalg, "np", None)
+        w = linalg._spectrum(h.tolist())
+        for z, tol in want:
+            assert min(abs(y - z) for y in w) <= tol
+        assert np.max(np.abs(np.array(linalg._spectrum(x.tolist())) - x_spectrum_oracle(x))) <= 1e-14
 
     def test_connected_pattern_is_one_component(self, rng):
         m = random_hermitian(rng, 9)
@@ -864,7 +974,7 @@ def x_block_cases(rng):
     """X matrices: random, and with a zero block discriminant in exact arithmetic.
 
     The last case is a connected 2x2 matrix, one block with a small eigenvalue
-    that Jacobi gets only to about 1e-8 relative.
+    that an iterative solver gets only to about 1e-8 relative.
     """
     cases = [random_x_matrix(rng) for _ in range(40)]
     for _ in range(40):
@@ -908,8 +1018,8 @@ class TestTwoByTwoAccuracy:
                 assert abs(got - ref) <= 4 * math.ulp(float(ref)), (got, ref)
 
     def test_a_modulus_past_the_float_maximum(self):
-        # |h[0, 1]| = 2.1e308: the norm is scaled by the largest part, not the
-        # (overflowing) largest modulus, and Jacobi runs on the scaled block.
+        # |h[0, 1]| = 2.1e308: the block is scaled by its largest part, not
+        # the (overflowing) largest modulus, and solved scaled.
         mpmath = pytest.importorskip("mpmath")
         h = np.full((3, 3), 1.5e308, dtype=complex)
         h[0, 1] = 1.5e308 + 1.5e308j

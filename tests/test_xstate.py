@@ -227,8 +227,8 @@ class TestXEigenvalues:
         for _ in range(10_000):
             m = random_x_matrix(rng)
             closed = xstate.x_eigenvalues(x_record(m))
-            jacobi = linalg.hermitian_eigenvalues(densify(m))
-            assert np.max(np.abs(closed - jacobi)) < 1e-10
+            dense = linalg.hermitian_eigenvalues(densify(m))
+            assert np.max(np.abs(closed - dense)) < 1e-10
 
 
 def random_x_with_zero_corners(rng):
