@@ -63,10 +63,8 @@ class CriterionReport:
 
 
 def _evaluate(p1: np.ndarray, p2: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, ...]:
-    """The gap (P1 P2)^G - P1^G P2^G, P1 P2, (P1 P2)^G, P1^G and P2^G, each formed once."""
-    prod = linalg.mul(p1, p2)
-    prod_pt, p1_pt, p2_pt = (partial_transpose(a, dims) for a in (prod, p1, p2))
-    return prod_pt - linalg.mul(p1_pt, p2_pt), prod, prod_pt, p1_pt, p2_pt
+    """The gap (P1 P2)^G - P1^G P2^G, P1 P2, (P1 P2)^G, P1^G and P2^G: `linalg.transposed_gap`."""
+    return linalg.transposed_gap(p1, p2, lambda a: partial_transpose(a, dims))
 
 
 def pt_gap(p1: np.ndarray, p2: np.ndarray, dims) -> np.ndarray:
@@ -84,11 +82,13 @@ def tarazaga_pd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     A True answer certifies that the Hermitian matrix is positive
     definite; False is inconclusive. Raises XsepError on a non-finite entry
-    and NotHermitian if A is not Hermitian within tol. Both sides are in
-    `_scaled_norm`'s units of the symmetrised rows: an inf trace would certify.
+    and NotHermitian if A is not Hermitian within tol. Both sides are taken
+    on the symmetrised rows in `_scaled_norm`'s units, 2**e with e the
+    exponent of their largest modulus, so neither overflows: an inf trace
+    would certify.
     """
     h = linalg._checked_rows(a, tol, "Tarazaga test input")
-    r, e = linalg._scaled_norm(h)
+    r, e = linalg._scaled_norm([z for row in h for z in row])
     trace = linalg._trace([math.ldexp(row[i].real, -e) for i, row in enumerate(h)]).real
     return trace > math.sqrt(len(h) - 1) * r
 

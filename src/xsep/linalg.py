@@ -20,12 +20,18 @@ dense one, is one block and never reaches the memo. 1x1 and 2x2 blocks are
 solved in closed form (`forms.hermitian_2x2`, the one 2x2 Hermitian form,
 exact to a few ulps, which the sweep uses too); larger ones go to Householder
 tridiagonalization and implicit QL, or to LU with partial pivoting. The
-eigensolver, and LU's retry past the float range, share one block scaled by
-the power of two of its largest part, `_scaled_block` of the row list. The
-eigensolver reads the diagonal and the strict upper triangle alone, and
-makes no NumPy call. The factors of every determinant block make one
-product, kept as a mantissa and an exponent.
-Nothing uses an installed LAPACK.
+eigensolver reads the diagonal and the strict upper triangle alone. The
+factors of every determinant block make one product, kept as a mantissa and
+an exponent.
+
+One rule scales every matrix, `_exponent`: the power of two of its largest
+modulus. The eigensolver and LU's retry past the float range share
+one scaled block, `_scaled_block`; the Frobenius norm sums the squared
+moduli of the scaled entries exactly, by math.fsum. The only NumPy
+arithmetic is `mul`'s matmul and `transposed_gap`'s difference of products,
+and the rest of NumPy here is the array boundary: every other kernel's bits
+depend on the host only through the C library's `hypot`, the modulus of
+`abs(complex)`. Nothing uses an installed LAPACK.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ import functools
 import math
 import sys
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, itemgetter, sub
+from operator import add, itemgetter, sub
 from operator import mul as _times  # `mul` is the matrix product below
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,12 +54,9 @@ from .forms import DEFAULT_TOL, _SPLIT, _modulus, _moduli, _times_pow2, hermitia
 # QL sweeps allowed per eigenvalue, as in Numerical Recipes' tqli.
 _MAX_QL_SWEEPS = 30
 
-# A column of squared norm below this, in a block whose largest part is near
-# 1, is below the rounding of the block: the Householder step leaves it out.
+# A column of squared norm below this, in a block whose largest modulus is
+# near 1, is below the rounding of the block: the Householder step leaves it out.
 _TINY_COLUMN = 2.0 ** -1000
-
-# The real and imaginary part of a complex, as a pair.
-_PARTS = attrgetter("real", "imag")
 
 # Entries of the split memo: distinct zero patterns, each a few hundred bytes.
 _SPLIT_MEMO = 256
@@ -141,6 +145,20 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def transposed_gap(p1: np.ndarray, p2: np.ndarray,
+                   t: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The gap t(P1 P2) - t(P1) t(P2), P1 P2, t(P1 P2), t(P1) and t(P2), each formed once.
+
+    t moves entries and does no arithmetic. A product or difference past the
+    float range is inf or NaN with no RuntimeWarning: the checks that read it
+    decide on the value. NumPy's error state is entered once, for all three.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = mul(p1, p2)
+        prod_t, p1_t, p2_t = map(t, (prod, p1, p2))
+        return prod_t - mul(p1_t, p2_t), prod, prod_t, p1_t, p2_t
+
+
 def trace(a: np.ndarray) -> complex:
     """Sum of diagonal entries, `_trace` of the diagonal: inf past the float maximum, no warning."""
     return _trace(np.asarray(a, dtype=complex).diagonal().tolist())
@@ -161,27 +179,43 @@ def _unit_trace(diagonal: list, tol: float) -> tuple[complex, bool]:
     return trace, _modulus(trace - 1.0) <= tol
 
 
-def _scaled_norm(a) -> tuple[float, int]:
-    """(r, e) with ||a||_F = r * 2**e, e the exponent of the largest real or imaginary part.
+def _exponent(entries: list[complex]) -> int:
+    """The exponent e of the entries' largest `_modulus` M, M = m * 2**e with m in [0.5, 1).
 
-    The parts are scaled by 2**-e, which brings the largest near 1, before
-    the moduli are taken and squared, so that none overflows, not even a
-    modulus past the float maximum. In range the scaled moduli are the
-    unscaled ones times 2**-e, exactly. Takes an array or a row list.
+    The one scaling rule of this module: 1024 when M is past the float
+    maximum, and 0 when M is 0 or there are no entries.
     """
-    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64)
-    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
-    m = np.abs(np.ldexp(parts, -e).view(complex))
-    return math.sqrt(np.square(m).sum()), e
+    try:
+        big = max(map(abs, entries), default=0.0)
+    except OverflowError:  # a finite entry of modulus past the float maximum
+        return 1024
+    return math.frexp(big)[1] if big < math.inf else 1024
+
+
+def _scaled_norm(entries: list[complex]) -> tuple[float, int]:
+    """(r, e) with ||entries||_F = r * 2**e, e the entries' `_exponent`.
+
+    The entries are scaled by 2**-e, exactly, by `_scaled`, which brings the
+    largest modulus near 1, before their moduli are taken and squared, so that
+    no square overflows and no modulus is rounded on the subnormal grid.
+    math.fsum adds the squares exactly and rounds once (Shewchuk 1997), so no
+    order of summation enters, on any host or Python. Where no part or square,
+    scaled or not, leaves the normal range, r * 2**e is sqrt(fsum(m * m)) of
+    the unscaled `_moduli`, bit for bit. An entry past the float maximum makes
+    r * 2**e inf, and a NaN entry makes r NaN.
+    """
+    e = _exponent(entries)
+    moduli = list(map(abs, _scaled(entries, e)))  # finite ones below 2: no OverflowError
+    return math.sqrt(math.fsum(map(_times, moduli, moduli))), e
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entry magnitudes.
+    """Square root of the sum of squared entry magnitudes: 0.0, inf past the float range, or NaN.
 
-    Summed in `_scaled_norm`'s units; in range, the result has the same
-    bits as the unscaled sum.
+    `_scaled_norm` of the entries: in range, the rounded root of the correctly
+    rounded sum of the squared moduli.
     """
-    r, e = _scaled_norm(a)
+    r, e = _scaled_norm(np.asarray(a, dtype=complex).ravel().tolist())
     return _times_pow2(r, e)
 
 
@@ -189,8 +223,8 @@ def det(a: np.ndarray) -> complex:
     """Determinant of any square matrix: one product of its zero pattern's blocks' factors.
 
     A block's factors are formed unscaled and, if one is not finite, again on
-    the block times 2**-s, s the exponent of its largest real or imaginary
-    part. Scaling every block would flush entries 2**1074 below the largest.
+    the block times 2**-s, `_scaled_block`'s. Scaling every block would flush
+    entries 2**1074 below the largest.
     """
     rows = as_matrix(a, name="determinant input").tolist()
     factors, e = [], 0
@@ -207,31 +241,31 @@ def det(a: np.ndarray) -> complex:
 def _scaled_block(rows: list[list[complex]], idx: list[int]) -> tuple[list[list[complex]], int]:
     """(b, e): the block of `rows` on the indices idx times 2**-e, as new rows, and e.
 
-    e is the exponent of the block's largest real or imaginary part, so b's
-    largest part is in [0.5, 1). That part is at most the largest `_modulus`
-    M and at least M / sqrt(2): e is M's exponent, or one less when no entry
-    of modulus 2**(e-1) or more has a part that large; a modulus past the
-    float maximum has a part above 2**1023. Each entry is multiplied by the
-    complex 2**-e, exact in range, or, when 2**-e is past the float maximum (a
-    block deep in the subnormals), by two powers of two, both exact. So in
-    range a spectrum or determinant scaled back has the unscaled run's bits,
-    up to the sign of a zero part.
+    e is the block's `_exponent`: b's largest modulus is in [0.5, 1) in
+    range, and below sqrt(2) when e is 1024. The entries are scaled by
+    `_scaled`, exactly in range, so in range a spectrum or determinant scaled
+    back has the unscaled run's bits, up to the sign of a zero part.
     """
     m = len(idx)
     if m == len(rows):  # the whole matrix: idx is every index, in order
         entries = list(chain.from_iterable(rows))
     else:
         entries = [row[j] for row in map(rows.__getitem__, idx) for j in idx]
-    moduli = _moduli(entries)
-    big = max(moduli)
-    e = math.frexp(big)[1] if big < math.inf else 1024
-    half = math.ldexp(1.0, e - 1)
-    near = compress(entries, map(half.__le__, moduli))  # the entries that can have a part >= half
-    if not any(map(half.__le__, map(abs, chain.from_iterable(map(_PARTS, near))))):
-        e -= 1
-    for k in ((-e,) if e >= -1023 else (1023, -e - 1023)):
-        entries = list(map(_times, entries, repeat(complex(math.ldexp(1.0, k)))))
+    e = _exponent(entries)
+    entries = list(_scaled(entries, e))
     return [entries[i:i + m] for i in range(0, m * m, m)], e
+
+
+def _scaled(entries: Iterable[complex], e: int) -> Iterator[complex]:
+    """The entries times 2**-e, lazily, exact in range.
+
+    Each entry is multiplied by the complex 2**-e or, when 2**-e is past the
+    float maximum (entries deep in the subnormals), by two powers of two,
+    both exact.
+    """
+    for k in ((-e,) if e >= -1023 else (1023, -e - 1023)):
+        entries = map(_times, entries, repeat(complex(math.ldexp(1.0, k))))
+    return entries
 
 
 def _block_factors(rows: list[list[complex]], idx: list[int] | range) -> list[complex]:
@@ -365,7 +399,7 @@ def _householder_ql(a: list[list[complex]]) -> list[float]:
     `map` over the whole trailing matrix: the O(n^3) work runs at C level,
     summed left to right. Every product is complex x complex or float x float
     and no sum is the builtin `sum`, so the bits are the same on every host
-    and Python. The caller scales `a` so that its largest part is near 1: no
+    and Python. The caller scales `a` so that its largest modulus is near 1: no
     square overflows, and a column of squared norm below `_TINY_COLUMN` is
     below the rounding of the block, and is left out.
     """
@@ -483,8 +517,8 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
     """The eigenvalues of the finite, exactly Hermitian row list h, descending; h is not checked.
 
     Each block of the zero pattern is solved on its own: 1x1 and 2x2 blocks
-    in closed form, larger ones by `_householder_ql` on the block scaled by
-    the power of two of its largest part, and scaled back.
+    in closed form, larger ones by `_householder_ql` on `_scaled_block`'s
+    block, and scaled back.
     """
     w = []
     for idx in _components(h):

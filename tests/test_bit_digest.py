@@ -1,0 +1,237 @@
+"""The bits of the numerical kernels on one seeded corpus, pinned.
+
+Each kernel's outputs on the corpus, written with `float.hex`, hash to one
+sha256 in `data/bit_digest.json`, beside a short hash of each case, so a
+failure names the kernel and the first case whose bits moved. The goldens
+print 12 decimals and cannot see a change in the last bits; this can.
+
+The corpus is drawn from `random.Random`, not from NumPy, and built in
+Python float and complex arithmetic with no builtin `sum` (which compensates
+from Python 3.12 on), no mixed float x complex product (whose rule changed
+in 3.14) and no libm function but the correctly rounded `sqrt`: every
+Python and NumPy version builds the same inputs. It holds X states, family
+gaps, and dense Hermitian (random, graded, clustered) and non-Hermitian
+matrices at n = 3/4/9/16, each also scaled by 2**900 and 2**-900. No dense block has couplings that are
+all subnormal once scaled: `math.hypot`, which the eigensolver calls, has
+changed bits on subnormal arguments between Python versions.
+
+Run as a script, the module sets the kernels of this checkout's `src`
+against those of another checkout, case by case, or re-pins the digests:
+
+    python tests/test_bit_digest.py --src ../parent/src
+    python tests/test_bit_digest.py --record
+
+A change that moves a digest on purpose re-records it and names the kernel,
+the number of moved cases and the reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from itertools import zip_longest
+from operator import add, mul
+from pathlib import Path
+
+PINNED = Path(__file__).resolve().parent / "data" / "bit_digest.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SEED = 20260
+SCALES = (0, 900, -900)
+SHORT = 8  # hex digits of each case's own hash
+
+
+def _entry(rng: random.Random) -> complex:
+    """Parts uniform in [-1, 1): `uniform` is arithmetic, where `gauss` calls libm's log and cos."""
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _disc(rng: random.Random) -> complex:
+    """A point of the unit disc, by rejection: no cos or sin, whose bits are libm's."""
+    while True:
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if z.real * z.real + z.imag * z.imag <= 1.0:
+            return z
+
+
+def _hermitian(upper) -> list[list[complex]]:
+    """The exactly Hermitian rows with the real diagonal and the strict upper triangle of upper."""
+    n = len(upper)
+    rows = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = complex(upper[i][i].real)
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = upper[i][j], upper[i][j].conjugate()
+    return rows
+
+
+def _matmul(a, b) -> list[list[complex]]:
+    """a b, each entry summed left to right in complex x complex products."""
+    columns = list(zip(*b))
+    return [[functools.reduce(add, map(mul, row, col)) for col in columns] for row in a]
+
+
+def _pt(rows) -> list[list[complex]]:
+    """The partial transpose of a 4x4 matrix over the second qubit."""
+    return [[rows[2 * (i // 2) + j % 2][2 * (j // 2) + i % 2] for j in range(4)] for i in range(4)]
+
+
+def _x_state(rng: random.Random) -> list[list[complex]]:
+    d = [rng.random() for _ in range(4)]
+    rows = [[0j] * 4 for _ in range(4)]
+    for k in range(4):
+        rows[k][k] = complex(d[k])
+    for i, j in ((0, 3), (1, 2)):
+        c = _disc(rng) * complex(math.sqrt(d[i] * d[j]))
+        rows[i][j], rows[j][i] = c, c.conjugate()
+    return rows
+
+
+def _family_gap(rng: random.Random, symmetric: bool) -> list[list[complex]]:
+    """(P1 P2)^G - P1^G P2^G of a family pair; Hermitian when t3 = t2 and t4 = t1."""
+    t = [rng.random() for _ in range(4)]
+    if symmetric:
+        t[2], t[3] = t[1], t[0]
+    v1, v2 = _disc(rng), _disc(rng)
+    p1 = [[complex(t[i]) if i == j else 0j for j in range(4)] for i in range(4)]
+    p2 = [[1 + 0j, 0j, 0j, v1], [0j, 1 + 0j, v2, 0j],
+          [0j, v2.conjugate(), 1 + 0j, 0j], [v1.conjugate(), 0j, 0j, 1 + 0j]]
+    lhs, rhs = _pt(_matmul(p1, p2)), _matmul(_pt(p1), _pt(p2))
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(lhs, rhs)]
+
+
+def _graded(rng: random.Random, n: int, down: bool) -> list[list[complex]]:
+    """D H D: H positive definite by diagonal dominance, D falling from 1 to about 2**-20."""
+    d = [math.ldexp(1.0 + rng.random(), -(20 * i) // (n - 1)) for i in range(n)]
+    if not down:
+        d.reverse()
+    h = [[_disc(rng) * complex(0.9 / (n - 1)) for _ in range(n)] for _ in range(n)]
+    return _hermitian([[h[i][j] * complex(d[i] * d[j]) if i != j else complex(d[i] * d[i])
+                        for j in range(n)] for i in range(n)])
+
+
+def _clustered(rng: random.Random, n: int) -> list[list[complex]]:
+    """U diag(w) U^H, U a Householder reflection, with n - 2 eigenvalues 1e-12 apart."""
+    w = [1.0 + 1e-12 * k for k in range(n - 2)] + [-0.5, 2.0]
+    v = [_entry(rng) for _ in range(n)]
+    two = complex(2.0 / functools.reduce(add, (z.real * z.real + z.imag * z.imag for z in v)))
+    u = [[(1 + 0j if i == j else 0j) - two * v[i] * v[j].conjugate() for j in range(n)]
+         for i in range(n)]
+    uw = [[x * complex(wk) for x, wk in zip(row, w)] for row in u]
+    return _hermitian(_matmul(uw, [[x.conjugate() for x in col] for col in zip(*u)]))
+
+
+def _scaled(rows, k: int) -> list[list[complex]]:
+    return [[complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in row] for row in rows]
+
+
+def corpus() -> list[tuple[str, list[list[complex]], bool]]:
+    """(label, rows, whether the rows are exactly Hermitian) for every case, in order."""
+    rng = random.Random(SEED)
+    base = [(f"x-state {k}", _x_state(rng), True) for k in range(120)]
+    base += [(f"family-gap {k}", _family_gap(rng, k % 2 == 0), k % 2 == 0) for k in range(120)]
+    for n, count in ((3, 6), (4, 6), (9, 4), (16, 3)):
+        for k in range(count):
+            upper = [[_entry(rng) for _ in range(n)] for _ in range(n)]
+            shift = complex(rng.uniform(0.0, 1.5 * n))
+            base += [
+                (f"hermitian n={n} {k}", _hermitian(upper), True),
+                (f"shifted n={n} {k}", _hermitian([[z + shift if i == j else z for j, z in enumerate(row)]
+                                                   for i, row in enumerate(upper)]), True),
+                (f"graded-down n={n} {k}", _graded(rng, n, True), True),
+                (f"graded-up n={n} {k}", _graded(rng, n, False), True),
+                (f"clustered n={n} {k}", _clustered(rng, n), True),
+                (f"general n={n} {k}", [[_entry(rng) for _ in range(n)] for _ in range(n)], False),
+            ]
+    return [(f"{label} 2**{s}", _scaled(rows, s), hermitian)
+            for s in SCALES for label, rows, hermitian in base]
+
+
+def kernels() -> dict:
+    """Each kernel's name -> (whether it takes only Hermitian cases, its output as text)."""
+    from xsep import criteria, linalg
+
+    def det(rows):
+        z = linalg.det(rows)
+        return f"{z.real.hex()} {z.imag.hex()}"
+
+    return {
+        "linalg._spectrum": (True, lambda rows: " ".join(map(float.hex, linalg._spectrum(rows)))),
+        "linalg.det": (False, det),
+        "linalg.frobenius_norm": (False, lambda rows: linalg.frobenius_norm(rows).hex()),
+        "criteria.tarazaga_pd": (True, lambda rows: str(criteria.tarazaga_pd(rows))),
+    }
+
+
+def outputs() -> dict[str, list[tuple[str, str]]]:
+    """Each kernel's name -> its (case label, output text) over the corpus."""
+    cases = corpus()
+    return {name: [(label, kernel(rows)) for label, rows, hermitian in cases
+                   if hermitian or not hermitian_only]
+            for name, (hermitian_only, kernel) in kernels().items()}
+
+
+def digest(cases: list[tuple[str, str]]) -> dict:
+    """The sha256 over every case and the short hash of each."""
+    lines = [f"{label}\t{text}" for label, text in cases]
+    return {"sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+            "cases": [hashlib.sha256(line.encode()).hexdigest()[:SHORT] for line in lines]}
+
+
+def test_every_kernel_keeps_its_pinned_bits():
+    pinned = json.loads(PINNED.read_text())
+    got = outputs()
+    assert sorted(got) == sorted(pinned)
+    moved = []
+    for name, cases in got.items():
+        now, then = digest(cases), pinned[name]
+        if now["sha256"] == then["sha256"]:
+            continue
+        first = next(k for k, (a, b) in enumerate(zip_longest(now["cases"], then["cases"]))
+                     if a != b)
+        label, text = cases[first] if first < len(cases) else ("(a pinned case past the last)", "")
+        moved.append(f"{name}: first differing case {first}, {label!r}, now {text}")
+    assert not moved, "\n".join(moved)
+
+
+def _emitted(src: Path) -> dict[str, list[list[str]]]:
+    """`outputs()` of the kernels under src, from a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, __file__, "--emit"], stdout=subprocess.PIPE, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--src", type=Path, help="compare with the kernels of this src directory")
+    what.add_argument("--record", action="store_true", help=f"re-pin {PINNED.name} from this src")
+    what.add_argument("--emit", action="store_true", help="print the outputs of the importable kernels")
+    args = parser.parse_args(argv)
+    if args.emit:
+        print(json.dumps(outputs()))
+        return 0
+    this = _emitted(SRC)
+    if args.record:
+        PINNED.write_text(json.dumps({name: digest(cases) for name, cases in this.items()},
+                                     indent=1) + "\n")
+        return 0
+    other = _emitted(args.src.resolve())
+    for name in this:
+        pairs = [(a, b) for a, b in zip(this[name], other.get(name, [])) if a != b]
+        print(f"{name}: {len(pairs)} of {len(this[name])} cases differ")
+        if pairs:
+            (label, mine), (_, theirs) = pairs[0]
+            print(f"  first: {label}\n  {SRC}: {mine}\n  {args.src}: {theirs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -172,6 +172,14 @@ class TestTarazaga:
             warnings.simplefilter("error")
             assert criteria.tarazaga_pd(np.diag([1.5e308] * 4))
 
+    @pytest.mark.parametrize("corner, certified", [(2, False), (4, True)])
+    def test_subnormal_entries_are_judged_at_full_precision(self, corner, certified):
+        # Entries in units of 2**-1074. |20+4j| = 20.396 rounds to 20 on the subnormal grid;
+        # read as 20, the indefinite matrix (det 404 - 416 < 0) passes, 204 > sqrt(41608).
+        a = np.array([[202, 20 + 4j], [20 - 4j, corner]]) * 5e-324
+        assert criteria.tarazaga_pd(a) is certified
+        assert (linalg.min_eigenvalue(a) > 0) is certified
+
     def test_soundness(self, rng):
         # every certified matrix must be positive definite
         certified = 0
@@ -222,13 +230,14 @@ class TestTheorem2:
 
     def test_a_nan_gap_norm_fails_the_hypothesis(self):
         # P P overflows, so the gap is inf - inf, NaN, while D1 D2 = 1: the
-        # left side 593 is finite, but the equality is not established.
+        # left side 593 is finite, but the equality is not established. No
+        # overflow warning gets out, and warnings are errors here.
         p = np.diag([1e200, 1e-200, 1e-200, 1e200]).astype(complex)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # NumPy's matmul overflow
-            assert not criteria.equality_holds(p, p, (2, 2))
-            with pytest.raises(EqualityHypothesisError, match="gap norm nan > tol"):
-                criteria.theorem2_check(p, p)
+        assert not criteria.equality_holds(p, p, (2, 2))
+        with pytest.raises(EqualityHypothesisError, match="gap norm nan > tol"):
+            criteria.theorem2_check(p, p)
+        with pytest.raises(XsepError, match="eigensolver input has non-finite entries"):
+            criteria.factor_report(p, p)
 
     @pytest.mark.parametrize("t", [1e30, 1e154, 1e308])
     def test_overflow_raises_invalid_params(self, t):

@@ -349,10 +349,27 @@ class TestFrobenius:
             via_trace = linalg.trace(linalg.mul(a.conj().T, a)).real
             assert abs(linalg.frobenius_norm(a) ** 2 - via_trace) < 1e-12 * max(1.0, via_trace)
 
-    def test_same_bits_as_the_unscaled_sum(self, rng):
+    def test_same_bits_as_the_exact_sum_of_the_moduli(self, rng):
+        # In range: the root of math.fsum of the squared `_moduli`, in any order of the entries.
         for d in (2, 4, 9, 16):
-            a = random_complex(rng, d)
-            assert linalg.frobenius_norm(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+            for _ in range(25):
+                a = random_complex(rng, d) * 10.0 ** rng.integers(-100, 101)
+                moduli = linalg._moduli(a.ravel().tolist())
+                want = math.sqrt(math.fsum(m * m for m in moduli))
+                assert linalg.frobenius_norm(a) == want
+                assert linalg.frobenius_norm(a[::-1].T) == want
+
+    def test_within_an_ulp_of_the_exact_norm(self, rng):
+        # Each part converts to a Decimal exactly; the reference is good to 60 digits.
+        worst = 0.0
+        for d in (4, 9, 16):
+            for _ in range(40):
+                a = random_complex(rng, d)
+                got = linalg.frobenius_norm(a)
+                with decimal.localcontext(DEC60):
+                    exact = sum(Decimal(x) ** 2 for x in a.view(float).ravel().tolist()).sqrt()
+                    worst = max(worst, float(abs(Decimal(got) - exact) / Decimal(math.ulp(got))))
+        assert worst <= 1.0
 
     @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
     def test_scales_exactly_with_a_power_of_two(self, rng, e):
@@ -366,6 +383,12 @@ class TestFrobenius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert linalg.frobenius_norm(np.full((4, 4), 1e308)) == math.inf
+
+    def test_subnormal_entries_keep_their_moduli(self):
+        # 16 |20+4j| = 326.3 units of 2**-1074, rounded once; moduli taken on the subnormal
+        # grid would each be 20, and 16 * 20 = 320.
+        a = np.full((16, 16), (20 + 4j) * 5e-324)
+        assert linalg.frobenius_norm(a) == math.ldexp(16 * abs(20 + 4j), -1074) == 326 * 5e-324
 
 
 class TestTimesPow2:
@@ -384,14 +407,11 @@ class TestTimesPow2:
 
 
 class TestScaledBlock:
-    @staticmethod
-    def largest_part_exponent(rows, idx):
-        return math.frexp(max(abs(x) for i in idx for j in idx
-                              for x in (rows[i][j].real, rows[i][j].imag)))[1]
-
-    def test_exponent_is_that_of_the_largest_part(self, rng):
+    def test_exponent_is_that_of_the_largest_modulus(self, rng):
         # Parts at and next to powers of two, of both signs, at every scale,
-        # and moduli on both sides of the largest part's power of two.
+        # and moduli on both sides of a power of two; a modulus past the float
+        # maximum takes 1024. The scaling is exact, and brings an in-range
+        # largest modulus into [0.5, 1).
         for _ in range(3000):
             n = int(rng.integers(2, 6))
             k = int(rng.integers(-1074, 1024))
@@ -402,11 +422,16 @@ class TestScaledBlock:
                 continue
             rows = (parts[..., 0] + 1j * parts[..., 1]).tolist()
             idx = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
-            if not any(rows[i][j] for i in idx for j in idx):
+            entries = [rows[i][j] for i in idx for j in idx]
+            if not any(entries):
                 continue
             block, e = linalg._scaled_block(rows, idx)
-            assert e == self.largest_part_exponent(rows, idx)
-            assert 0.5 <= max(abs(x) for row in block for z in row for x in (z.real, z.imag)) < 1.0
+            big = max(linalg._moduli(entries))
+            assert e == (math.frexp(big)[1] if big < math.inf else 1024)
+            scaled = [z for row in block for z in row]
+            assert [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in scaled] == entries
+            if sys.float_info.min <= big < math.inf:
+                assert 0.5 <= max(map(abs, scaled)) < 1.0
 
     def test_a_modulus_past_the_float_maximum(self):
         rows = [[1.5e308 + 1.5e308j, 1.0], [1.0, -1e308]]

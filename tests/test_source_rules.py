@@ -21,6 +21,9 @@ TRACE = r"np\.trace\(|\)\.trace\("
 # A failure test `x > tol` or `x < -tol` in code, which a NaN x passes; `not x <= tol`
 # fails it. An operand ends the left side, so `{x:.3e} > tol` in a message is spared.
 TOL_FAILS = r"^[^#]*[\w)\]]\s*(?:>|<\s*-)\s*tol\b"
+# NumPy arithmetic on an array: the kernels take Python numbers off the array boundary
+# (`tolist`, `np.array` of a result), and `mul`'s `a @ b` is the one product left to NumPy.
+NUMPY_ARITHMETIC = r"\bnp\.(?:abs|square|ldexp|sqrt)\(|\.sum\(|\.view\("
 # Every module that `import xsep` and `xsep sweep` load: none imports NumPy at module level.
 SWEEP_PATH = ("forms.py", "__init__.py", "__main__.py", "errors.py", "bipartite.py",
               "matfile.py", "cli.py")
@@ -37,6 +40,8 @@ RULES = {
     "a tolerance test passes only on <=": ("*.py", TOL_FAILS, "if gap > tol:"),
     "sweep on Python scalars": (SWEEP_PATH, r"^(import numpy|from numpy)", "import numpy as np"),
     "one trace rule": ("*.py", TRACE, "return complex(np.asarray(a).trace())"),
+    "no NumPy arithmetic in linalg or criteria": (("linalg.py", "criteria.py"), NUMPY_ARITHMETIC,
+                                                 "return math.sqrt(np.square(m).sum()), e"),
 }
 
 
@@ -81,3 +86,12 @@ def test_the_tolerance_rule_spares_the_tests_a_nan_fails():
     for line in ("if not gap <= tol:", "return c if gap <= tol else None", "min_pt >= -tol",
                  "# a NaN passes x > tol", 'f"{gap_norm:.3e} > tol {tol:.3e}); check"'):
         assert not re.search(TOL_FAILS, line), line
+
+
+def test_the_numpy_arithmetic_rule_catches_each_call_and_spares_python_arithmetic():
+    for line in ("m = np.abs(parts)", "np.ldexp(parts, -e)", "float(np.sqrt(s))",
+                 "parts = a.view(np.float64)", "total = np.square(m).sum()"):
+        assert re.search(NUMPY_ARITHMETIC, line), line
+    for line in ("math.sqrt(math.fsum(squares))", "math.ldexp(m, -e)", "map(sum, masks)",
+                 "return a @ b", "np.asarray(a, dtype=complex).ravel().tolist()"):
+        assert not re.search(NUMPY_ARITHMETIC, line), line
