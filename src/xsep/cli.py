@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from operator import itemgetter
 
 from . import forms, matfile
 from .bipartite import BipartiteDims, partial_transpose
@@ -183,6 +184,8 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     partial-transpose eigenvalue are those of the trace-normalized
     product, which is the same state for every t1. The lattice is
     evaluated per axis on Python scalars, with the closed forms of `forms`.
+    The sides are symmetric in (|v1|, |v2|), so each unordered pair is
+    evaluated and rendered once.
     """
     try:
         d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
@@ -216,20 +219,17 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     row_axis, col_axis = ([(*vf, c, rendered[c], low, rendered[low])
                            for vf, (c, low) in zip(v_axis, map(terms.get, ms))] for ms in moduli)
 
-    # The sides of each distinct product are evaluated and rendered once.
+    # The sides are symmetric (float products commute): row i evaluates and
+    # renders columns j >= i, and takes j < i from column i of the rows above.
     rhs_text = fmt(rhs)
-    inequality, rows = {}, []
-    for a, f_row, c_row, ct_row, l_row, lt_row in row_axis:
-        for b, f_col, c_col, ct_col, l_col, lt_col in col_axis:
-            p = d1 * (f_col * f_row)
-            sides = inequality.get(p)
-            if sides is None:
-                lhs = forms.theorem2_lhs(p)
-                sides = inequality[p] = f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}"
-            rows.append(
-                f"{a},{b},{sides},{ct_row if c_row >= c_col else ct_col},"
-                f"{lt_row if l_row <= l_col else lt_col}"
-            )
+    sides, rows = [], []
+    for i, (a, f_row, c_row, ct_row, l_row, lt_row) in enumerate(row_axis):
+        lhs_row = [forms.theorem2_lhs(d1 * (f_col * f_row)) for _, f_col in v_axis[i:]]
+        sides.append([*map(itemgetter(i), sides),
+                      *[f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}" for lhs in lhs_row]])
+        rows += [f"{a},{b},{s},{ct_row if c_row >= c_col else ct_col},"
+                 f"{lt_row if l_row <= l_col else lt_col}"
+                 for s, (b, _, c_col, ct_col, l_col, lt_col) in zip(sides[-1], col_axis)]
     return rows
 
 

@@ -39,12 +39,18 @@ def analyze_text(tmp_path, capsys):
     return capsys.readouterr().out
 
 
+def sweep_csv(tmp_path, capsys):
+    assert main(["sweep", "--grid", "3", "--phase1", "0.3", "--phase2", "1.1"]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("module, name, shift, output", [
     (linalg, "min_eigenvalue", lambda f: lambda a, tol=1e-10: f(a, tol) - 1e-6, min_pt_eigenvalue),
     (linalg, "det", lambda f: lambda a: f(a) * 1.01, corollary1_lhs),
     (cli, "partial_transpose", lambda f: lambda a, dims: f(a, dims).T, pt_file),
     (cli, "fmt", lambda f: lambda x: f(x + 1e-9), analyze_text),
-], ids=["min_eigenvalue", "det", "partial_transpose", "fmt"])
+    (cli, "fmt", lambda f: lambda x: f(x + 1e-9), sweep_csv),
+], ids=["min_eigenvalue", "det", "partial_transpose", "fmt", "fmt-sweep"])
 def test_shifting_the_binding_moves_the_output(module, name, shift, output, monkeypatch,
                                                tmp_path, capsys):
     before = output(tmp_path, capsys)

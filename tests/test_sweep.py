@@ -1,9 +1,10 @@
 """Differential tests of `xsep sweep`: the CSV against scalar references.
 
-The sweep evaluates each distinct corner modulus once. Its rows must equal,
-byte for byte, the rows the scalar library functions give cell by cell,
-agree with `factor_report` on the dense factor pair, and hash to the
-sha256 recorded in `bench/golden_sweep.json`.
+The sweep evaluates each distinct corner modulus once, and the inequality
+sides, which are symmetric in (|v1|, |v2|), once per unordered pair. Its
+rows must equal, byte for byte, the rows the scalar library functions give
+cell by cell, agree with `factor_report` on the dense factor pair, and hash
+to the sha256 recorded in `bench/golden_sweep.json`.
 """
 
 import hashlib
@@ -23,8 +24,10 @@ GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "golden_sweep.jso
 HEADER = "v1_abs,v2_abs,lhs,rhs,satisfied,concurrence,min_pt_eig"
 
 # t1 > 1 puts cells on both sides of the inequality, with left sides from 0
-# to far past the right side 2^11/9.
-T1S = (0.25, 1.09, 1.38)
+# to far past the right side 2^11/9. The ends check the table's extremes: at
+# 5e12 with --scaled-p2 the left side reaches 4.8e306, and at 1e-80 it is
+# subnormal (unit diagonal) or exactly 0 (scaled).
+T1S = (1e-80, 0.25, 1.09, 1.38, 5e12)
 GRIDS = (2, 7, 33)
 # Large and negative phases check the corner moduli |v e^{i phase} / 4|: at
 # phase -6.9 the modulus of a unit corner rounds below 1/4.
