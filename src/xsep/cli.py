@@ -47,13 +47,9 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 def _text(value) -> str:
     if isinstance(value, bool):
-        return _bool_str(value)
+        return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
     return str(value)
@@ -185,7 +181,8 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
     product, which is the same state for every t1. The lattice is
     evaluated per axis on Python scalars, with the closed forms of `forms`.
     The sides are symmetric in (|v1|, |v2|), so each unordered pair is
-    evaluated and rendered once.
+    evaluated and rendered once: one `fmt` call for its left side and one of
+    two verdict suffixes, `,rhs,true` or `,rhs,false`, built once per sweep.
     """
     try:
         d1 = t1 ** 4  # det of the diagonal factor, unchanged by partial transposition
@@ -213,23 +210,25 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
         terms[m] = (forms.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
                     forms.hermitian_2x2(0.25, 0.25, m)[1])
     rendered = {x: fmt(x) for x in {x for pair in terms.values() for x in pair}}
-    # One tuple per |v| and axis: its text, its factor of det(P2^G) =
-    # (1 - |v1|^2)(1 - |v2|^2), and its two terms with their text.
-    v_axis = [(fmt(v), forms.x_determinant(1.0, 1.0, 1.0, 1.0, v, 0.0)) for v in v_abs]
-    row_axis, col_axis = ([(*vf, c, rendered[c], low, rendered[low])
-                           for vf, (c, low) in zip(v_axis, map(terms.get, ms))] for ms in moduli)
+    # Per |v|, its factor of det(P2^G) = (1 - |v1|^2)(1 - |v2|^2); per |v| and
+    # axis, its text and its two terms with their text.
+    factors = [forms.x_determinant(1.0, 1.0, 1.0, 1.0, v, 0.0) for v in v_abs]
+    v_text = [fmt(v) for v in v_abs]
+    row_axis, col_axis = ([(a, c, rendered[c], low, rendered[low])
+                           for a, (c, low) in zip(v_text, map(terms.get, ms))] for ms in moduli)
 
     # The sides are symmetric (float products commute): row i evaluates and
     # renders columns j >= i, and takes j < i from column i of the rows above.
     rhs_text = fmt(rhs)
+    holds, fails = f",{rhs_text},true", f",{rhs_text},false"
     sides, rows = [], []
-    for i, (a, f_row, c_row, ct_row, l_row, lt_row) in enumerate(row_axis):
-        lhs_row = [forms.theorem2_lhs(d1 * (f_col * f_row)) for _, f_col in v_axis[i:]]
+    for i, (f_row, (a, c_row, ct_row, l_row, lt_row)) in enumerate(zip(factors, row_axis)):
+        lhs_row = [forms.theorem2_lhs(d1 * (f_col * f_row)) for f_col in factors[i:]]
         sides.append([*map(itemgetter(i), sides),
-                      *[f"{fmt(lhs)},{rhs_text},{_bool_str(lhs <= rhs)}" for lhs in lhs_row]])
+                      *[f"{fmt(lhs)}{holds if lhs <= rhs else fails}" for lhs in lhs_row]])
         rows += [f"{a},{b},{s},{ct_row if c_row >= c_col else ct_col},"
                  f"{lt_row if l_row <= l_col else lt_col}"
-                 for s, (b, _, c_col, ct_col, l_col, lt_col) in zip(sides[-1], col_axis)]
+                 for s, (b, c_col, ct_col, l_col, lt_col) in zip(sides[-1], col_axis)]
     return rows
 
 

@@ -186,16 +186,18 @@ def theorem2_lhs(prod: float) -> float:
 
 
 def format_float(x: float) -> str:
-    """Stable 12-digit rendering used in reports and CSV output.
+    """Stable 12-digit rendering used in reports and CSV output; the one home of that format.
 
-    Fixed point with 12 decimals in the everyday range, scientific
-    notation with a lowercase exponent outside it.
+    Fixed point with 12 decimals for 1e-4 <= |x| < 1e16, scientific
+    notation with a lowercase exponent outside it; zero of either sign is
+    `0.000000000000` and a non-finite x its repr. The fixed-point range is
+    tested first, by chained comparisons on x itself with no abs() call,
+    so an everyday value, most of what a sweep renders, leaves at once.
     """
+    if 1e-4 <= x < 1e16 or -1e16 < x <= -1e-4:
+        return f"{x:.12f}"
     if x == 0.0:
         return "0.000000000000"
     if not math.isfinite(x):
         return repr(x)
-    ax = abs(x)
-    if 1e-4 <= ax < 1e16:
-        return f"{x:.12f}"
     return f"{x:.12e}"

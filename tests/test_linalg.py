@@ -814,6 +814,14 @@ class TestDenseJacobi:
         got = linalg._householder_ql(dirty.tolist())
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    def test_deflation_holds_at_its_tie(self):
+        # |e[0]| = 2**-51 is exactly eps (|d[0]| + |d[1]|), so the coupling is
+        # negligible and the diagonal is the spectrum as it stands. A strict
+        # test would take the 2x2 block and return 1 + 2**-51 and 1 - 2**-51.
+        got = linalg._implicit_ql([1.0, 1.0, 2.0], [2.0 ** -51, 0.0])
+        assert list(map(float.hex, got)) == ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                                            "0x1.0000000000000p+1"]
+
     def test_sweep_limit_raises(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "_MAX_QL_SWEEPS", 0)
         with pytest.raises(ArithmeticError, match="did not converge"):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -187,3 +189,29 @@ class TestFormatFloat:
     def test_scientific_fallback_is_lowercase(self):
         assert "e" in matfile.format_float(3.5e-17)
         assert matfile.format_float(2.5e-17) == "2.500000000000e-17"
+
+    @staticmethod
+    def reference(x: float) -> str:
+        """The format as its docstring states it: %-formatting, its range tested on |x|."""
+        if x == 0.0:
+            return "0.000000000000"
+        if math.isnan(x) or math.isinf(x):
+            return repr(x)
+        return ("%.12f" if 1e-4 <= math.fabs(x) < 1e16 else "%.12e") % x
+
+    def test_matches_the_reference_at_the_range_edges(self):
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 sys.float_info.max, -sys.float_info.max]
+        for edge in (1e-4, 1e16):
+            for x in (edge, -edge):
+                edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.copysign(math.inf, x))]
+        for x in edges:
+            assert matfile.format_float(x) == self.reference(x), x.hex()
+
+    def test_matches_the_reference_on_random_floats(self):
+        # Decimal exponents from -330 to 330 reach past both ends of the
+        # doubles, so zeros, subnormals and infinities are drawn too.
+        rng = random.Random(34)
+        for _ in range(10_000):
+            x = float(f"{rng.choice('+-')}{rng.uniform(1.0, 10.0)!r}e{rng.randint(-330, 330)}")
+            assert matfile.format_float(x) == self.reference(x), x.hex()

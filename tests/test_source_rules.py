@@ -27,6 +27,9 @@ NUMPY_ARITHMETIC = r"\bnp\.(?:abs|square|ldexp|sqrt)\(|\.sum\(|\.view\("
 # Every module that `import xsep` and `xsep sweep` load: none imports NumPy at module level.
 SWEEP_PATH = ("forms.py", "__init__.py", "__main__.py", "errors.py", "bipartite.py",
               "matfile.py", "cli.py")
+# The report number format, 12 decimals fixed or scientific, lives in forms.format_float.
+NUMBER_FORMAT = r"\.12[fe]"
+NOT_FORMS = tuple(sorted(path.name for path in SRC.glob("*.py") if path.name != "forms.py"))
 
 # rule -> (file globs under src/xsep, pattern, a line the pattern must catch)
 RULES = {
@@ -42,6 +45,7 @@ RULES = {
     "one trace rule": ("*.py", TRACE, "return complex(np.asarray(a).trace())"),
     "no NumPy arithmetic in linalg or criteria": (("linalg.py", "criteria.py"), NUMPY_ARITHMETIC,
                                                  "return math.sqrt(np.square(m).sum()), e"),
+    "one home for the report number format": (NOT_FORMS, NUMBER_FORMAT, 'f"{x:.12f}"'),
 }
 
 
@@ -95,3 +99,10 @@ def test_the_numpy_arithmetic_rule_catches_each_call_and_spares_python_arithmeti
     for line in ("math.sqrt(math.fsum(squares))", "math.ldexp(m, -e)", "map(sum, masks)",
                  "return a @ b", "np.asarray(a, dtype=complex).ravel().tolist()"):
         assert not re.search(NUMPY_ARITHMETIC, line), line
+
+
+def test_the_number_format_rule_catches_each_spec_and_spares_other_precisions():
+    for line in ('f"{x:.12e}"', 'return "%.12f" % x', "format(x, '.12f')"):
+        assert re.search(NUMBER_FORMAT, line), line
+    for line in ('f"{gap_norm:.3e} > tol {tol:.3e}"', "round(x, 12)", "fmt(x)"):
+        assert not re.search(NUMBER_FORMAT, line), line
