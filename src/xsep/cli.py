@@ -23,7 +23,7 @@ from operator import itemgetter
 from . import forms, matfile
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import InvalidParams, MatrixFileError, NotDensityMatrix, XsepError
-from .matfile import format_float as fmt
+from .forms import format_float as fmt
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
 def cmd_construct(args) -> int:
     from . import criteria, linalg, xstate
 
-    params = xstate.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
+    params = forms.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
     pair = xstate.build_factors(params)
     rho = linalg.mul(pair.p1, pair.p2)
     # The product is Hermitian and PSD, so only its trace, 2 (t1 + t2), can fail.
@@ -157,7 +157,7 @@ def cmd_construct(args) -> int:
 def cmd_check_equality(args) -> int:
     from . import criteria, xstate
 
-    params = xstate.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
+    params = forms.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
     pair = xstate.build_factors(params)
     report = criteria.factor_report(pair.p1, pair.p2, tol=args.tol)
     gap_eigs = [] if report.gap_eigenvalues is None else [float(w) for w in report.gap_eigenvalues]

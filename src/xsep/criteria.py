@@ -9,6 +9,10 @@ transposition distributes over products; partial transposition in general
 does not, and the gap measures the failure. When the gap vanishes, a
 determinant inequality on the transposed factors certifies separability
 of the product state; `counterexample_state` shows the converse fails.
+
+`pt_gap`, `theorem2_check` and `factor_report` take the gap and the
+transposed factors from one `linalg.transposed_gap`. Theorem 2 and Corollary
+1 share `_inequality`, whose left side is a polynomial in D = D1 D2 alone.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from typing import Callable, NamedTuple
 from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import EqualityHypothesisError, InvalidParams, NotDensityMatrix, NotHermitian
-# The Theorem-2 sides live in the NumPy-free `forms`; both stay importable from here.
-from .forms import DEFAULT_TOL, THEOREM2_RHS, theorem2_lhs
+from .forms import DEFAULT_TOL, THEOREM2_RHS, _modulus, theorem2_lhs
 
 # Entries of the reference separable X state whose partial transpose is
 # NOT the stated product of partially transposed factors. Both 2x2 block
@@ -62,14 +65,9 @@ class CriterionReport:
     concurrence: float | None
 
 
-def _evaluate(p1: np.ndarray, p2: np.ndarray, dims: BipartiteDims) -> tuple[np.ndarray, ...]:
-    """The gap (P1 P2)^G - P1^G P2^G, P1 P2, (P1 P2)^G, P1^G and P2^G: `linalg.transposed_gap`."""
-    return linalg.transposed_gap(p1, p2, lambda a: partial_transpose(a, dims))
-
-
 def pt_gap(p1: np.ndarray, p2: np.ndarray, dims) -> np.ndarray:
     """(P1 P2)^G - P1^G P2^G."""
-    return _evaluate(p1, p2, BipartiteDims.of(dims))[0]
+    return linalg.transposed_gap(p1, p2, BipartiteDims.of(dims))[0]
 
 
 def equality_holds(p1: np.ndarray, p2: np.ndarray, dims, tol: float = DEFAULT_TOL) -> bool:
@@ -98,7 +96,7 @@ def _real_det(a: np.ndarray, name: str) -> float:
     if not (math.isfinite(d.real) and math.isfinite(d.imag)):
         raise InvalidParams(f"det({name}) overflows: got {d!r}")
     # |Im d| > tol * (1 + |d|), halved: |d/2| of a finite d cannot overflow.
-    if 0.5 * math.fabs(d.imag) > DEFAULT_TOL * (0.5 + linalg._modulus(0.5 * d)):
+    if 0.5 * math.fabs(d.imag) > DEFAULT_TOL * (0.5 + _modulus(0.5 * d)):
         raise InvalidParams(
             f"det({name}) = {d!r} has a significant imaginary part; "
             "the determinant criteria expect Hermitian-symmetric factors"
@@ -130,7 +128,7 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
     so the gap norm is checked first, and a NaN norm fails; a satisfied verdict is a
     sufficient condition for separability of the 4x4 product state, never necessary.
     """
-    gap, _, _, p1_pt, p2_pt = _evaluate(p1, p2, TWO_QUBITS)
+    gap, _, _, p1_pt, p2_pt = linalg.transposed_gap(p1, p2, TWO_QUBITS)
     gap_norm = linalg.frobenius_norm(gap)
     if not gap_norm <= tol:
         raise EqualityHypothesisError(
@@ -242,7 +240,7 @@ def factor_report(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> C
     pair and of the product is not checked: a product that is not PSD still
     gets its `ppt`, `min_pt_eigenvalue` and concurrence values.
     """
-    gap, prod, prod_pt, p1_pt, p2_pt = _evaluate(p1, p2, TWO_QUBITS)
+    gap, prod, prod_pt, p1_pt, p2_pt = linalg.transposed_gap(p1, p2, TWO_QUBITS)
     gap_norm = linalg.frobenius_norm(gap)
     try:
         gap_eigs = linalg.hermitian_eigenvalues(gap, tol)

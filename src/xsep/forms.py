@@ -1,12 +1,12 @@
 """Closed forms on Python scalars: the NumPy-free core that `xsep sweep` runs on.
 
-Each form here has one home and is re-exported from the module that
-documents it: the modulus rule, the power-of-two scaling and the 2x2
-Hermitian spectrum from `linalg`; the parameter record, the X-state
-determinant and concurrence from `xstate`; the Theorem-2 sides from
-`criteria`; the report number format from `matfile`. None of them imports
-NumPy, and neither does any module on the sweep's import path, so `import
-xsep` and `xsep sweep` run without it.
+This is the one home of each form, and every module reaches it here: the
+tolerance, the modulus rule, the power-of-two scaling and the 2x2 Hermitian
+spectrum that `linalg` builds on; the parameter record, the X-state
+determinant and concurrence of `xstate` and the sweep; the Theorem-2 sides
+of `criteria` and the sweep; the report number format of `matfile` and the
+CLI. None of them needs NumPy, and no module on the sweep's import path
+imports it, so `import xsep` and `xsep sweep` run without it.
 """
 
 from __future__ import annotations

@@ -43,13 +43,13 @@ import sys
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, sub
 from operator import mul as _times  # `mul` is the matrix product below
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import bipartite
 from .errors import DimensionMismatch, NotHermitian, XsepError
-# The NumPy-free forms live in `forms`; each stays importable from here.
-from .forms import DEFAULT_TOL, _SPLIT, _modulus, _moduli, _times_pow2, hermitian_2x2
+from .forms import DEFAULT_TOL, _modulus, _moduli, _times_pow2, hermitian_2x2
 
 # QL sweeps allowed per eigenvalue, as in Numerical Recipes' tqli.
 _MAX_QL_SWEEPS = 30
@@ -145,17 +145,17 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def transposed_gap(p1: np.ndarray, p2: np.ndarray,
-                   t: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The gap t(P1 P2) - t(P1) t(P2), P1 P2, t(P1 P2), t(P1) and t(P2), each formed once.
+def transposed_gap(p1: np.ndarray, p2: np.ndarray, dims) -> tuple[np.ndarray, ...]:
+    """The gap (P1 P2)^G - P1^G P2^G, P1 P2, (P1 P2)^G, P1^G and P2^G, each formed once.
 
-    t moves entries and does no arithmetic. A product or difference past the
-    float range is inf or NaN with no RuntimeWarning: the checks that read it
-    decide on the value. NumPy's error state is entered once, for all three.
+    ^G is `bipartite.partial_transpose` over dims, which moves entries and
+    does no arithmetic. A product or difference past the float range is inf
+    or NaN with no RuntimeWarning: the checks that read it decide on the
+    value. NumPy's error state is entered once, for all three.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         prod = mul(p1, p2)
-        prod_t, p1_t, p2_t = map(t, (prod, p1, p2))
+        prod_t, p1_t, p2_t = (bipartite.partial_transpose(a, dims) for a in (prod, p1, p2))
         return prod_t - mul(p1_t, p2_t), prod, prod_t, p1_t, p2_t
 
 

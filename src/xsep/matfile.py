@@ -21,19 +21,21 @@ from itertools import chain
 
 from . import bipartite
 from .bipartite import BipartiteDims
-from .errors import InvalidParams, MatrixFileError
-# The report number format lives in the NumPy-free `forms`; it stays importable from here.
-from .forms import format_float
+from .errors import DimensionMismatch, InvalidParams, MatrixFileError
+from .forms import format_float  # bench/tracer.py looks it up here
 
 
 def encode(a: np.ndarray, dims: BipartiteDims | tuple[int, int] | None = None) -> str:
-    """The canonical file text of a; a given dims must fit a (`bipartite._square`)."""
+    """The canonical file text of a square matrix a; a given dims must fit it (`_square`)."""
     import numpy as np
 
     a = np.asarray(a, dtype=complex)
-    lines = ['{', f'  "dim": {a.shape[0]},']
     if dims is not None:
         a, dims = bipartite._square(a, dims)
+    elif a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"a matrix file holds a square matrix, got shape {a.shape}")
+    lines = ['{', f'  "dim": {a.shape[0]},']
+    if dims is not None:
         lines.append(f'  "dims": [{dims.m}, {dims.n}],')
     lines.append('  "entries": [')
     # One json.dumps per row: its C encoder writes each float as float.__repr__

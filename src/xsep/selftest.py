@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import criteria, linalg, xstate
+from . import criteria, forms, linalg, xstate
 from .bipartite import partial_transpose
 
 
@@ -29,7 +29,7 @@ def identity_product():
 
 def product_x_shape():
     t1, t2, t3, t4, v1, v2 = 0.3, 0.2, 0.2, 0.3, 0.5, 0.4j
-    pair = xstate.build_factors(xstate.XParams(t1, t2, t3, t4, v1, v2))
+    pair = xstate.build_factors(forms.XParams(t1, t2, t3, t4, v1, v2))
     expected = np.diag([t1, t2, t3, t4]).astype(complex)
     expected[0, 3], expected[1, 2] = t1 * v1, t2 * v2
     expected[2, 1], expected[3, 0] = t3 * np.conj(v2), t4 * np.conj(v1)
@@ -37,20 +37,20 @@ def product_x_shape():
 
 
 def p2_spectrum():
-    pair = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.5, 0.3))
+    pair = xstate.build_factors(forms.XParams(1, 1, 1, 1, 0.5, 0.3))
     w = linalg.hermitian_eigenvalues(pair.p2)
     yield "spectrum", w, [1.5, 1.3, 0.7, 0.5], _below(1e-12)
 
 
 def pt_factor_swap():
     # Partial transposition swaps the two amplitudes of the unit-diagonal factor.
-    p2 = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.5, 0.3j)).p2
-    swapped = xstate.build_factors(xstate.XParams(1, 1, 1, 1, 0.3j, 0.5)).p2
+    p2 = xstate.build_factors(forms.XParams(1, 1, 1, 1, 0.5, 0.3j)).p2
+    swapped = xstate.build_factors(forms.XParams(1, 1, 1, 1, 0.3j, 0.5)).p2
     yield "P2^G", partial_transpose(p2, criteria.TWO_QUBITS), swapped, 0.0
 
 
 def gap_closed_form():
-    params = xstate.XParams.symmetric(0.1, 0.4, 0.5, 0.2)
+    params = forms.XParams.symmetric(0.1, 0.4, 0.5, 0.2)
     pair = xstate.build_factors(params)
     gap = criteria.pt_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)
     r = params.t2 - params.t1
@@ -63,7 +63,7 @@ def gap_closed_form():
 
 
 def equality_family():
-    params = xstate.XParams.symmetric(0.25, 0.25, 0.6, 0.3j)
+    params = forms.XParams.symmetric(0.25, 0.25, 0.6, 0.3j)
     pair = xstate.build_factors(params)
     gap = criteria.pt_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)
     yield "|gap|_F", linalg.frobenius_norm(gap), 0.0, 1e-14
@@ -80,7 +80,7 @@ def equality_family():
 
 
 def min_pt_closed_form():
-    params = xstate.XParams.symmetric(0.35, 0.15, 0.7j, 0.4)
+    params = forms.XParams.symmetric(0.35, 0.15, 0.7j, 0.4)
     pair = xstate.build_factors(params)
     rho = linalg.mul(pair.p1, pair.p2)
     got = criteria.validate_density(rho, criteria.TWO_QUBITS).min_pt_eigenvalue
@@ -90,7 +90,7 @@ def min_pt_closed_form():
 
 
 def theorem2_rhs():
-    yield "THEOREM2_RHS", criteria.THEOREM2_RHS, 2.0 ** 11 / 9.0, 0.0
+    yield "THEOREM2_RHS", forms.THEOREM2_RHS, 2.0 ** 11 / 9.0, 0.0
 
 
 def theorem2_identity_factors():
@@ -122,7 +122,7 @@ def bell_state():
     bell = np.zeros((4, 4), dtype=complex)
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     density = criteria.validate_density(bell, criteria.TWO_QUBITS)
-    yield "concurrence", xstate.matrix_concurrence(bell, linalg.DEFAULT_TOL), 1.0, _below(1e-14)
+    yield "concurrence", xstate.matrix_concurrence(bell, forms.DEFAULT_TOL), 1.0, _below(1e-14)
     yield "min PT eigenvalue", density.min_pt_eigenvalue, -0.5, _below(1e-12)
     yield "ppt", density.ppt, False, 0.0
 

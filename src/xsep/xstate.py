@@ -11,12 +11,11 @@ All criteria downstream depend only on |v1| and |v2|, but the matrices
 built here keep the complex phases: partial transposition acts on the
 phased entries.
 
-Each X-state fact is read by one rule: a modulus by `linalg._modulus` (inf
+Each X-state fact is read by one rule: a modulus by `forms._moduli` (inf
 past the float maximum), the trace by `linalg._trace`, the spectrum by
-`linalg._spectrum`. The concurrence is `x_concurrence` (Wootters 1998),
-which lives with `XParams` and `x_determinant` in the NumPy-free `forms`;
-`matrix_concurrence`, the one reader of an X state off a 4x4 array, serves
-`xsep analyze`, `criteria.factor_report` and `concurrence` alike.
+`linalg._spectrum`, the concurrence by `forms.x_concurrence` (Wootters
+1998). `matrix_concurrence`, the one reader of an X state off a 4x4 array,
+serves `xsep analyze`, `criteria.factor_report` and `concurrence` alike.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidParams
-# The NumPy-free forms live in `forms`; each stays importable from here.
-from .forms import (
-    _V_BOUND_SLACK, XParams, _checked, _sqrt_product, x_concurrence, x_determinant,
-)
+from .forms import DEFAULT_TOL, _checked, _moduli, x_concurrence
+from .forms import XParams  # bench/tracer.py and bench/workloads.py look it up here
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +77,10 @@ def _off_x_within(rows: list[list], tol: float) -> bool:
     """True iff each entry of a square row list off its diagonal and antidiagonal has |z| <= tol."""
     last = len(rows) - 1
     off = [z for i, row in enumerate(rows) for j, z in enumerate(row) if j != i and i + j != last]
-    return all(m <= tol for m in linalg._moduli(off))
+    return all(m <= tol for m in _moduli(off))
 
 
-def is_x_shaped(a: np.ndarray, tol: float = linalg.DEFAULT_TOL) -> bool:
+def is_x_shaped(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a is square and every entry off its diagonal and antidiagonal is at most tol."""
     a = np.asarray(a, dtype=complex)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and _off_x_within(a.tolist(), tol)
@@ -124,7 +121,7 @@ def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     """`x_concurrence` of a finite 4x4 array X shaped and of trace 1 within tol, else None.
 
     Its rows are read once; the trace test is `linalg._unit_trace`, as in
-    `criteria.validate_density`, and the corners' moduli are `linalg._moduli`'s,
+    `criteria.validate_density`, and the corners' moduli are `forms._moduli`'s,
     inf past the float maximum. Hermiticity and positivity are the caller's to
     check: the diagonal is read by its real parts and the corners by their moduli.
     """
@@ -135,11 +132,11 @@ def matrix_concurrence(a: np.ndarray, tol: float) -> float | None:
     if not (all(map(cmath.isfinite, (d11, d22, d33, d44, c14, c23, c32, c41)))
             and linalg._unit_trace([d11, d22, d33, d44], tol)[1]):
         return None
-    m14, m23 = linalg._moduli((c14, c23))
+    m14, m23 = _moduli((c14, c23))
     return x_concurrence(d11.real, d22.real, d33.real, d44.real, m14, m23)
 
 
-def concurrence(x: XMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
+def concurrence(x: XMatrix, tol: float = DEFAULT_TOL) -> float:
     """Concurrence of a normalized X state: `matrix_concurrence` of `x.matrix()`.
 
     Zero exactly for separable states. Raises InvalidParams where that returns
@@ -158,7 +155,7 @@ def family_concurrence(params: XParams) -> float:
     of the product's entries.
     """
     t1, t2 = params.t1, params.t2
-    m1, m2 = linalg._moduli((params.v1, params.v2))
+    m1, m2 = _moduli((params.v1, params.v2))
     return x_concurrence(t1, t2, t2, t1, t1 * m1, t2 * m2)
 
 

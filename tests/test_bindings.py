@@ -6,13 +6,22 @@ expects every operation to fail. That holds only while the library calls each
 one through that module attribute. A change that stops doing so breaks
 `pytest bench`, which the tier-1 run does not include; these tests shift each
 binding and assert that the output it feeds moves.
+
+The traced benchmark wraps each name that `bench/tracer.py` lists in `LAYERS`
+and stops with an error at one that is gone; a test here resolves every one.
 """
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xsep import cli, criteria, linalg, matfile, xstate
 from xsep.cli import main
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def min_pt_eigenvalue(tmp_path, capsys):
@@ -56,3 +65,22 @@ def test_shifting_the_binding_moves_the_output(module, name, shift, output, monk
     before = output(tmp_path, capsys)
     monkeypatch.setattr(module, name, shift(getattr(module, name)))
     assert output(tmp_path, capsys) != before
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, targets in tracer.LAYERS.items():
+        for module_name, attr in targets:
+            module = importlib.import_module(module_name)
+            owner_name, _, method = attr.rpartition(".")
+            if owner_name:
+                owner = getattr(module, owner_name, None)
+                found = isinstance(owner, type) and method in owner.__dict__
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                missing.append(f"{layer}: {module_name}.{attr}")
+    assert not missing, "\n".join(missing)

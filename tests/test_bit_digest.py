@@ -13,7 +13,14 @@ Python and NumPy version builds the same inputs. It holds X states, family
 gaps, and dense Hermitian (random, graded, clustered) and non-Hermitian
 matrices at n = 3/4/9/16, each also scaled by 2**900 and 2**-900. No dense block has couplings that are
 all subnormal once scaled: `math.hypot`, which the eigensolver calls, has
-changed bits on subnormal arguments between Python versions.
+changed bits on subnormal arguments between Python versions. A second draw
+of family pairs, P1 diagonal, feeds `transposed_gap`.
+
+The kernels are the spectrum, `det`, the Frobenius norm and the Tarazaga
+test of each matrix; the gap of each family pair; the partial transpose, as
+an array and as rows, and `validate_density` (report bits or error text) of
+each matrix with a split; `matrix_concurrence` of each 4x4 matrix; and
+`format_float` of the first row's parts of each matrix.
 
 Run as a script, the module sets the kernels of this checkout's `src`
 against those of another checkout, case by case, or re-pins the digests:
@@ -45,6 +52,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 20260
 SCALES = (0, 900, -900)
 SHORT = 8  # hex digits of each case's own hash
+# The subsystem split taken for each order of the corpus that has one.
+SPLITS = {4: (2, 2), 9: (3, 3), 16: (2, 8)}
+# format_float at the ends of its fixed-point range and of the floats, and at its zeros.
+EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-4, math.nextafter(1e-4, 0.0), -1e-4,
+         math.nextafter(-1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), -1e16,
+         math.nextafter(-1e16, 0.0), 5e-324, sys.float_info.max, 2.0 ** 11 / 9.0)
 
 
 def _entry(rng: random.Random) -> complex:
@@ -93,8 +106,8 @@ def _x_state(rng: random.Random) -> list[list[complex]]:
     return rows
 
 
-def _family_gap(rng: random.Random, symmetric: bool) -> list[list[complex]]:
-    """(P1 P2)^G - P1^G P2^G of a family pair; Hermitian when t3 = t2 and t4 = t1."""
+def _family_pair(rng: random.Random, symmetric: bool) -> tuple[list, list]:
+    """P1 = diag(t1, t2, t3, t4) and the unit-diagonal X factor P2; t3, t4 = t2, t1 if symmetric."""
     t = [rng.random() for _ in range(4)]
     if symmetric:
         t[2], t[3] = t[1], t[0]
@@ -102,6 +115,12 @@ def _family_gap(rng: random.Random, symmetric: bool) -> list[list[complex]]:
     p1 = [[complex(t[i]) if i == j else 0j for j in range(4)] for i in range(4)]
     p2 = [[1 + 0j, 0j, 0j, v1], [0j, 1 + 0j, v2, 0j],
           [0j, v2.conjugate(), 1 + 0j, 0j], [v1.conjugate(), 0j, 0j, 1 + 0j]]
+    return p1, p2
+
+
+def _family_gap(rng: random.Random, symmetric: bool) -> list[list[complex]]:
+    """(P1 P2)^G - P1^G P2^G of a family pair; Hermitian when t3 = t2 and t4 = t1."""
+    p1, p2 = _family_pair(rng, symmetric)
     lhs, rhs = _pt(_matmul(p1, p2)), _matmul(_pt(p1), _pt(p2))
     return [[x - y for x, y in zip(r, s)] for r, s in zip(lhs, rhs)]
 
@@ -153,28 +172,80 @@ def corpus() -> list[tuple[str, list[list[complex]], bool]]:
             for s in SCALES for label, rows, hermitian in base]
 
 
+def pairs() -> list[tuple[str, tuple[list, list]]]:
+    """(label, (P1, P2)) of family pairs, P1 scaled by each of SCALES, from a second seed.
+
+    P1 is diagonal, so each entry of a product is one rounded product of two
+    entries, the same under every BLAS.
+    """
+    rng = random.Random(SEED + 1)
+    base = [(f"family-pair {k}", _family_pair(rng, k % 2 == 0)) for k in range(60)]
+    return [(f"{label} 2**{s}", (_scaled(p1, s), p2)) for s in SCALES for label, (p1, p2) in base]
+
+
+def _hex(rows) -> str:
+    return " ".join(f"{z.real.hex()},{z.imag.hex()}" for row in rows for z in row)
+
+
 def kernels() -> dict:
-    """Each kernel's name -> (whether it takes only Hermitian cases, its output as text)."""
-    from xsep import criteria, linalg
+    """Each kernel's name -> (its cases as (label, input), its output on one input as text)."""
+    from xsep import bipartite, criteria, forms, linalg, xstate
+    from xsep.errors import XsepError
+
+    cases = corpus()
+    every = [(label, rows) for label, rows, _ in cases]
+    hermitian = [(label, rows) for label, rows, exact in cases if exact]
+    split = [(label, (rows, bipartite.BipartiteDims(*SPLITS[len(rows)])))
+             for label, rows in every if len(rows) in SPLITS]
+    floats = [("edges", EDGES)] + [(label, [x for z in rows[0] for x in (z.real, z.imag)])
+                                   for label, rows in every]
 
     def det(rows):
         z = linalg.det(rows)
         return f"{z.real.hex()} {z.imag.hex()}"
 
+    def gap(pair):
+        # A zero is hashed without its sign: a BLAS may sum zero products to either zero.
+        return " ".join(_hex([[z + 0j for z in row] for row in a.tolist()])
+                        for a in linalg.transposed_gap(*pair, (2, 2)))
+
+    def density(case):
+        # At an infinite tol every check passes, so each case shows its report's bits.
+        texts = []
+        for tol in (forms.DEFAULT_TOL, math.inf):
+            try:
+                r = criteria.validate_density(*case, tol)
+                texts.append(f"{r.trace.hex()} {r.min_eigenvalue.hex()} "
+                             f"{r.min_pt_eigenvalue.hex()} {r.ppt}")
+            except XsepError as e:
+                texts.append(f"{type(e).__name__}: {e}")
+        return " | ".join(texts)
+
+    def concurrence(rows):
+        values = (xstate.matrix_concurrence(rows, tol) for tol in (forms.DEFAULT_TOL, math.inf))
+        return " ".join("None" if c is None else c.hex() for c in values)
+
     return {
-        "linalg._spectrum": (True, lambda rows: " ".join(map(float.hex, linalg._spectrum(rows)))),
-        "linalg.det": (False, det),
-        "linalg.frobenius_norm": (False, lambda rows: linalg.frobenius_norm(rows).hex()),
-        "criteria.tarazaga_pd": (True, lambda rows: str(criteria.tarazaga_pd(rows))),
+        "linalg._spectrum": (hermitian,
+                             lambda rows: " ".join(map(float.hex, linalg._spectrum(rows)))),
+        "linalg.det": (every, det),
+        "linalg.frobenius_norm": (every, lambda rows: linalg.frobenius_norm(rows).hex()),
+        "criteria.tarazaga_pd": (hermitian, lambda rows: str(criteria.tarazaga_pd(rows))),
+        "linalg.transposed_gap": (pairs(), gap),
+        "bipartite.partial_transpose": (split, lambda case: _hex(
+            bipartite.partial_transpose(*case).tolist())),
+        "bipartite._transposed_rows": (split, lambda case: _hex(bipartite._transposed_rows(*case))),
+        "criteria.validate_density": (split, density),
+        "xstate.matrix_concurrence": ([(label, rows) for label, rows in every if len(rows) == 4],
+                                      concurrence),
+        "forms.format_float": (floats, lambda xs: " ".join(map(forms.format_float, xs))),
     }
 
 
 def outputs() -> dict[str, list[tuple[str, str]]]:
-    """Each kernel's name -> its (case label, output text) over the corpus."""
-    cases = corpus()
-    return {name: [(label, kernel(rows)) for label, rows, hermitian in cases
-                   if hermitian or not hermitian_only]
-            for name, (hermitian_only, kernel) in kernels().items()}
+    """Each kernel's name -> its (case label, output text) over its cases."""
+    return {name: [(label, kernel(x)) for label, x in inputs]
+            for name, (inputs, kernel) in kernels().items()}
 
 
 def digest(cases: list[tuple[str, str]]) -> dict:

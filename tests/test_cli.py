@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xsep import criteria, linalg, matfile, xstate
+from xsep import criteria, forms, linalg, matfile, xstate
 from xsep.cli import _emit, build_parser, main
 from xsep.errors import XsepError
 
@@ -418,7 +418,7 @@ class TestSelftest:
         assert "[FAIL] counterexample" in out
 
     def test_corrupted_rhs_named(self, capsys, monkeypatch):
-        monkeypatch.setattr(criteria, "THEOREM2_RHS", 200.0)
+        monkeypatch.setattr(forms, "THEOREM2_RHS", 200.0)
         assert main(["selftest"]) == 1
         assert "[FAIL] theorem2-rhs" in capsys.readouterr().out
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xsep import criteria, linalg, xstate
+from xsep import bipartite, criteria, linalg, xstate
 from xsep.bipartite import partial_transpose
 from xsep.errors import (
     DimensionMismatch,
@@ -596,7 +596,7 @@ class TestSharedEvaluation:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"mul": 0, "partial_transpose": 0}
-        mul, pt = linalg.mul, criteria.partial_transpose
+        mul, pt = linalg.mul, bipartite.partial_transpose
 
         def counted_mul(a, b):
             counts["mul"] += 1
@@ -607,7 +607,7 @@ class TestSharedEvaluation:
             return pt(a, dims)
 
         monkeypatch.setattr(linalg, "mul", counted_mul)
-        monkeypatch.setattr(criteria, "partial_transpose", counted_pt)
+        monkeypatch.setattr(bipartite, "partial_transpose", counted_pt)
         return counts
 
     @pytest.mark.parametrize("check", [criteria.factor_report, criteria.theorem2_check])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -129,6 +130,19 @@ def test_rejects_dims_that_are_not_a_split(dims):
 def test_encode_rejects_dims_that_do_not_fit():
     with pytest.raises(DimensionMismatch, match=r"is 9x9, got shape \(4, 4\)$"):
         matfile.encode(np.eye(4), (3, 3))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)])
+def test_encode_and_save_write_only_a_square_matrix(tmp_path, shape):
+    # Without dims, such an array was written with "dim" set to its first
+    # axis, a text that `decode` then rejects.
+    message = rf"^a matrix file holds a square matrix, got shape {re.escape(str(shape))}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        matfile.encode(np.zeros(shape))
+    path = tmp_path / "m.json"
+    with pytest.raises(DimensionMismatch, match=message):
+        matfile.save(str(path), np.zeros(shape))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("text, kinds", [

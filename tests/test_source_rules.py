@@ -6,6 +6,7 @@ file:line, with the rule's name. The tier-1 run is where these rules are
 enforced, at every NumPy version the tests run under.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -30,6 +31,16 @@ SWEEP_PATH = ("forms.py", "__init__.py", "__main__.py", "errors.py", "bipartite.
 # The report number format, 12 decimals fixed or scientific, lives in forms.format_float.
 NUMBER_FORMAT = r"\.12[fe]"
 NOT_FORMS = tuple(sorted(path.name for path in SRC.glob("*.py") if path.name != "forms.py"))
+# Each name that forms.py defines at top level, reached through a module that
+# only imports it (`linalg._moduli`, `from .matfile import format_float`), not at `forms`.
+FORMS_NAMES = sorted(
+    target.id if isinstance(node, ast.Assign) else node.name
+    for node in ast.parse((SRC / "forms.py").read_text(encoding="utf-8")).body
+    if isinstance(node, (ast.Assign, ast.FunctionDef, ast.ClassDef))
+    for target in (node.targets if isinstance(node, ast.Assign) else [node])
+)
+FORMS_AWAY = (r"\b(?:linalg|xstate|criteria|matfile)(?:\.|\s+import\s+(?:[\w\s,(]*[\s,(])?)"
+              r"(?:" + "|".join(FORMS_NAMES) + r")\b")
 
 # rule -> (file globs under src/xsep, pattern, a line the pattern must catch)
 RULES = {
@@ -46,6 +57,7 @@ RULES = {
     "no NumPy arithmetic in linalg or criteria": (("linalg.py", "criteria.py"), NUMPY_ARITHMETIC,
                                                  "return math.sqrt(np.square(m).sum()), e"),
     "one home for the report number format": (NOT_FORMS, NUMBER_FORMAT, 'f"{x:.12f}"'),
+    "each closed form reached at forms": ("*.py", FORMS_AWAY, "m14, m23 = linalg._moduli((c14, c23))"),
 }
 
 
@@ -106,3 +118,14 @@ def test_the_number_format_rule_catches_each_spec_and_spares_other_precisions():
         assert re.search(NUMBER_FORMAT, line), line
     for line in ('f"{gap_norm:.3e} > tol {tol:.3e}"', "round(x, 12)", "fmt(x)"):
         assert not re.search(NUMBER_FORMAT, line), line
+
+
+def test_the_forms_rule_catches_each_route_around_forms_and_spares_the_rest():
+    assert {"DEFAULT_TOL", "XParams", "_moduli", "format_float", "theorem2_lhs"} <= set(FORMS_NAMES)
+    for line in ("tol: float = linalg.DEFAULT_TOL", "xstate.XParams.symmetric(t1, t2, v1, v2)",
+                 "rhs = criteria.THEOREM2_RHS", "from .matfile import format_float as fmt",
+                 "from .xstate import FactorPair, XParams"):
+        assert re.search(FORMS_AWAY, line), line
+    for line in ("forms._moduli(zs)", "from .forms import XParams", "linalg._spectrum(rows)",
+                 "xstate.matrix_concurrence(a, tol)", "criteria.TWO_QUBITS", "matfile.encode(a)"):
+        assert not re.search(FORMS_AWAY, line), line

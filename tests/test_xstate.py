@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xsep import criteria, linalg, xstate
+from xsep import criteria, forms, linalg, xstate
 from xsep.bipartite import partial_transpose
 from xsep.errors import InvalidParams, NotDensityMatrix
 from xsep.xstate import XMatrix, XParams
@@ -281,7 +281,7 @@ class TestScalarForms:
             m14s = (rng.random(50) * math.sqrt(diag[0] * diag[3])).tolist()
             m23s = (rng.random(50) * math.sqrt(diag[1] * diag[2])).tolist()
             for m14, m23 in zip(m14s, m23s):
-                det = xstate.x_determinant(*diag, m14, m23)
+                det = forms.x_determinant(*diag, m14, m23)
                 assert type(det) is float
                 x = XMatrix(*diag, c14=m14, c23=m23)
                 assert abs(det - linalg.det(x.matrix()).real) < 1e-14
@@ -350,12 +350,12 @@ class TestBlockRoots:
     @pytest.mark.parametrize("k", [-500, 500])
     def test_scaled_by_a_power_of_two_keeps_its_bits(self, rng, k):
         for a, b in 10.0 ** rng.uniform(-100, 100, size=(2000, 2)):
-            root = xstate._sqrt_product(math.ldexp(a, k), math.ldexp(b, k))
+            root = forms._sqrt_product(math.ldexp(a, k), math.ldexp(b, k))
             assert root == math.ldexp(math.sqrt(a * b), k)
 
     @pytest.mark.parametrize("a, b", [(-1e-200, 1e-200), (1e-200, -1e-200), (-1.0, 1.0), (0.0, 1e300)])
     def test_nonpositive_product_gives_zero(self, a, b):
-        assert xstate._sqrt_product(a, b) == 0.0
+        assert forms._sqrt_product(a, b) == 0.0
 
 
 class TestMatrixConcurrence:
