@@ -39,24 +39,19 @@ _HOMES = {
     "det": "linalg",
     "equality_holds": "criteria",
     "factor_report": "criteria",
-    "family_concurrence": "xstate",
     "frobenius_norm": "linalg",
     "hermitian_eigenvalues": "linalg",
-    "is_psd": "linalg",
-    "is_x_shaped": "xstate",
     "min_eigenvalue": "linalg",
     "mul": "linalg",
     "partial_transpose": "bipartite",
     "ppt_verdict": "criteria",
     "product_state": "xstate",
-    "pt_first": "bipartite",
     "pt_gap": "criteria",
     "tarazaga_pd": "criteria",
     "theorem2_check": "criteria",
     "trace": "linalg",
     "validate_density": "criteria",
     "x_eigenvalues": "xstate",
-    "zero_concurrence_region": "xstate",
 }
 
 __all__ = list(_HOMES)

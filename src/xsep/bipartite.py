@@ -7,16 +7,17 @@ permutes blocks, i.e. it transposes over the second subsystem:
 
     result[(i,j), (k,l)] = a[(i,l), (k,j)]
 
-`pt_first` is the complementary operator over the first subsystem.
-Both are pure entry permutations, defined for any square matrix whose
-dimension factors as m*n (not only density matrices). `_square` is the one
-test that a matrix fits its split, asked by both operators, by
-`criteria.validate_density` and by `matfile.encode`. Each (m, n) and
-subsystem has one flat permutation, built once and cached: an operator is
-one `take` of it, which makes the one copy of the result, and
-`_transposed_rows` applies the same permutation to a row list. NumPy is
-imported by the functions that use it, not at module level: the CLI imports
-this module for every subcommand, `sweep` included, which runs without NumPy.
+It is a pure entry permutation, defined for any square matrix whose
+dimension factors as m*n (not only density matrices). The transpose over
+the first subsystem is `partial_transpose(a, dims).T`, since the two
+one-sided transpositions compose to the global one. `_square` is the one
+test that a matrix fits its split, asked by `partial_transpose`, by
+`criteria.validate_density` and by `matfile.encode`. Each (m, n) has one
+flat permutation, built once and cached: `partial_transpose` is one `take`
+of it, which makes the one copy of the result, and `_transposed_rows`
+applies the same permutation to a row list. NumPy is imported by the
+functions that use it, not at module level: the CLI imports this module for
+every subcommand, `sweep` included, which runs without NumPy.
 """
 
 from __future__ import annotations
@@ -82,30 +83,25 @@ def _square(a: np.ndarray, dims) -> tuple[np.ndarray, BipartiteDims]:
 
 
 @functools.lru_cache(maxsize=64)
-def _permutation(m: int, n: int, first: bool) -> np.ndarray:
-    """Flat source index of each entry of the partial transpose, as a read-only (mn, mn) array.
-
-    Over the second subsystem result[(i,j), (k,l)] = a[(i,l), (k,j)]; over
-    the first, a[(k,j), (i,l)].
-    """
+def _permutation(m: int, n: int) -> np.ndarray:
+    """Flat source index of each entry of the partial transpose, as a read-only (mn, mn) array."""
     import numpy as np
 
-    axes = (2, 1, 0, 3) if first else (0, 3, 2, 1)
-    perm = np.arange((m * n) ** 2).reshape(m, n, m, n).transpose(axes).reshape(m * n, m * n)
+    perm = np.arange((m * n) ** 2).reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
     perm.flags.writeable = False
     return perm
 
 
 @functools.lru_cache(maxsize=64)
 def _row_getters(m: int, n: int) -> list[operator.itemgetter]:
-    """One itemgetter per row of `_permutation(m, n, False)`, for a flat row list."""
-    return [operator.itemgetter(*row) for row in _permutation(m, n, False).tolist()]
+    """One itemgetter per row of `_permutation(m, n)`, for a flat row list."""
+    return [operator.itemgetter(*row) for row in _permutation(m, n).tolist()]
 
 
 def partial_transpose(a: np.ndarray, dims) -> np.ndarray:
     """Transpose each n x n block in place (transposition over the second subsystem)."""
     a, dims = _square(a, dims)
-    return a.take(_permutation(dims.m, dims.n, False))
+    return a.take(_permutation(dims.m, dims.n))
 
 
 def _transposed_rows(rows: list[list[complex]], dims: BipartiteDims) -> list[tuple[complex, ...]]:
@@ -113,12 +109,3 @@ def _transposed_rows(rows: list[list[complex]], dims: BipartiteDims) -> list[tup
     flat = [z for row in rows for z in row]
     return [get(flat) for get in _row_getters(dims.m, dims.n)]
 
-
-def pt_first(a: np.ndarray, dims) -> np.ndarray:
-    """Partial transpose over the first subsystem.
-
-    The two one-sided transpositions compose to the global transpose, so
-    this equals transpose(partial_transpose(a)) and partial_transpose(transpose(a)).
-    """
-    a, dims = _square(a, dims)
-    return a.take(_permutation(dims.m, dims.n, True))

@@ -17,9 +17,12 @@ transposed factors from one `linalg.transposed_gap`. Theorem 2 and Corollary
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
@@ -138,6 +141,21 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
     return _inequality(p1_pt, p2_pt, theorem2_lhs, THEOREM2_RHS)
 
 
+@functools.cache
+def _corollary1_rhs(n: int) -> float:
+    """The largest float not above n^((3n-1)/2) / (n-1)^(n/2).
+
+    The rounded quotient lies one ulp above the bound at some n (6, 7, 8, 10,
+    11 and 14 up to 16), and is then stepped down: rhs > bound exactly when
+    rhs^2 (n-1)^n > n^(3n-1), compared in integers.
+    """
+    rhs = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
+    p, q = rhs.as_integer_ratio()
+    if p * p * (n - 1) ** n > n ** (3 * n - 1) * q * q:
+        rhs = math.nextafter(rhs, 0.0)
+    return rhs
+
+
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
     """Higher-dimensional analogue of the determinant inequality.
 
@@ -146,8 +164,9 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
         (n-1)^n D^3 + 2 n^n D <= n^((3n-1)/2) / (n-1)^(n/2)
 
     certifies that the product state is PPT; the left side is that of the
-    float D. It uses only the second subsystem dimension n. The transposition
-    equality is assumed, as in two qubits, but is the caller's to check here.
+    float D, and the right side is the largest float not above the bound. It
+    uses only the second subsystem dimension n. The transposition equality is
+    assumed, as in two qubits, but is the caller's to check here.
     """
     dims = BipartiteDims.of(dims)
     if dims.m < 3 or dims.n < 3:
@@ -158,8 +177,7 @@ def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:
     n = dims.n
     return _inequality(
         partial_transpose(p1, dims), partial_transpose(p2, dims),
-        lambda prod: (n - 1.0) ** n * prod ** 3 + 2.0 * float(n) ** n * prod,
-        float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0))
+        lambda prod: (n - 1.0) ** n * prod ** 3 + 2.0 * float(n) ** n * prod, _corollary1_rhs(n))
 
 
 class DensityReport(NamedTuple):

@@ -550,10 +550,3 @@ def min_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(hermitian_eigenvalues(a, tol)[-1])
 
-
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff `a` is Hermitian within `tol` and its smallest eigenvalue is >= -tol."""
-    try:
-        return min_eigenvalue(a, tol) >= -tol
-    except NotHermitian:
-        return False

@@ -80,12 +80,6 @@ def _off_x_within(rows: list[list], tol: float) -> bool:
     return all(m <= tol for m in _moduli(off))
 
 
-def is_x_shaped(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a is square and every entry off its diagonal and antidiagonal is at most tol."""
-    a = np.asarray(a, dtype=complex)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and _off_x_within(a.tolist(), tol)
-
-
 def build_factors(params: XParams) -> FactorPair:
     """Assemble the factor pair (P1, P2) from validated parameters."""
     t1, t2, t3, t4, v1, v2 = params.t1, params.t2, params.t3, params.t4, params.v1, params.v2
@@ -147,18 +141,3 @@ def concurrence(x: XMatrix, tol: float = DEFAULT_TOL) -> float:
         raise InvalidParams(f"concurrence needs a normalized state, trace is {x.trace!r}")
     return conc
 
-
-def family_concurrence(params: XParams) -> float:
-    """Closed-form concurrence of the symmetric family: 2 max{0, t2|v2|-t1, t1|v1|-t2}.
-
-    Unlike `concurrence` this needs no normalization; it is `x_concurrence`
-    of the product's entries.
-    """
-    t1, t2 = params.t1, params.t2
-    m1, m2 = _moduli((params.v1, params.v2))
-    return x_concurrence(t1, t2, t2, t1, t1 * m1, t2 * m2)
-
-
-def zero_concurrence_region(params: XParams) -> bool:
-    """True iff the family state has zero concurrence: t2|v2| <= t1 and t1|v1| <= t2."""
-    return family_concurrence(params) == 0.0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xsep import bipartite, linalg, xstate
-from xsep.bipartite import BipartiteDims, partial_transpose, pt_first
+from xsep import bipartite, criteria, linalg, matfile, xstate
+from xsep.bipartite import BipartiteDims, partial_transpose
 from xsep.errors import DimensionMismatch, InvalidParams
 
 from conftest import random_complex, random_hermitian
@@ -34,7 +34,8 @@ class TestDims:
 
     @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(6), np.eye(4)],
                              ids=["not-square", "one-dimensional", "wrong-order"])
-    @pytest.mark.parametrize("operator", [partial_transpose, pt_first])
+    @pytest.mark.parametrize("operator", [partial_transpose, criteria.validate_density,
+                                          matfile.encode])
     def test_every_misfit_gets_the_one_split_message(self, operator, a):
         message = f"a matrix on 2x3 subsystems is 6x6, got shape {a.shape}"
         with pytest.raises(DimensionMismatch) as err:
@@ -135,19 +136,16 @@ class TestPartialTranspose:
 
 
 class TestPtFirst:
-    def test_identity(self):
-        eye = np.eye(4, dtype=complex)
-        assert np.array_equal(pt_first(eye, (2, 2)), eye)
+    """The partial transpose over the first subsystem, `partial_transpose(a, dims).T`."""
 
     def test_composition_with_global_transpose(self, rng):
-        # the two one-sided transpositions compose to the global one, so
-        # pt_first == transpose . partial_transpose == partial_transpose . transpose;
-        # checked entrywise by direct index enumeration as well
+        # the two one-sided transpositions compose to the global one, so the
+        # first-subsystem transpose is transpose . partial_transpose ==
+        # partial_transpose . transpose; checked entrywise by direct index enumeration
         for dims in ((2, 2), (2, 3), (3, 2)):
             d = dims[0] * dims[1]
             a = random_complex(rng, d)
-            got = pt_first(a, dims)
-            assert np.array_equal(got, partial_transpose(a, dims).T)
+            got = partial_transpose(a, dims).T
             assert np.array_equal(got, partial_transpose(a.T, dims))
             m, n = dims
             for i in range(m):
@@ -160,7 +158,7 @@ class TestPtFirst:
         # both variants are similar via the global transpose
         for _ in range(10):
             h = random_hermitian(rng, 6)
-            w1 = linalg.hermitian_eigenvalues(pt_first(h, (2, 3)))
+            w1 = linalg.hermitian_eigenvalues(partial_transpose(h, (2, 3)).T)
             w2 = linalg.hermitian_eigenvalues(partial_transpose(h, (2, 3)))
             assert np.max(np.abs(w1 - w2)) < 1e-10
 
@@ -190,7 +188,8 @@ class TestCachedPermutation:
 
     @pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
     def test_matches_reshape_transpose_on_every_layout(self, rng, first):
-        op = pt_first if first else partial_transpose
+        # Over the first subsystem the operator is partial_transpose(a, dims).T.
+        op = (lambda a, dims: partial_transpose(a, dims).T) if first else partial_transpose
         for dims in self.DIMS:
             a = random_complex(rng, dims[0] * dims[1])
             for name, x in self.layouts(a).items():
@@ -204,11 +203,10 @@ class TestCachedPermutation:
     def test_result_is_fresh_and_writable(self, rng):
         a = random_complex(rng, 4)
         c = a.astype(complex)
-        for op in (partial_transpose, pt_first):
-            got = op(c, (2, 2))
-            got[0, 0] = 99.0
-            assert np.array_equal(c, a)
-            assert op(c, (2, 2))[0, 0] == a[0, 0]
+        got = partial_transpose(c, (2, 2))
+        got[0, 0] = 99.0
+        assert np.array_equal(c, a)
+        assert partial_transpose(c, (2, 2))[0, 0] == a[0, 0]
 
     def test_row_list_takes_the_same_permutation(self, rng):
         for dims in self.DIMS:

@@ -102,7 +102,7 @@ def test_float_verdicts_agree_with_the_exact_oracle(side, x):
         pt = partial_transpose(y.matrix(), (2, 2))
         # At tol 0 the scaled partial transpose is decided on the exact side,
         # the boundary included: hermitian_2x2's determinant is rounded once.
-        assert linalg.is_psd(pt, 0.0) is want, t
+        assert (linalg.min_eigenvalue(pt, 0.0) >= 0.0) is want, t
         assert (xstate.x_eigenvalues(x_record(pt)).tolist()[-1] >= 0.0) is want, t
         # A scaled state has trace 2**t; tol = inf lets it past the trace test.
         conc = xstate.matrix_concurrence(y.matrix(), math.inf)
@@ -143,9 +143,9 @@ def test_an_amplitude_past_the_float_maximum_is_out_of_bounds():
 
 
 @pytest.mark.parametrize("call, want", [
-    # an off-X entry, in is_x_shaped and matrix_concurrence
-    (lambda: xstate.is_x_shaped(quarter(((0, 1), HUGE)), 1e-10), False),
-    (lambda: xstate.is_x_shaped(quarter(((0, 1), HUGE)), math.inf), True),
+    # an off-X entry, in whether a unit-trace array is X shaped, and in matrix_concurrence
+    (lambda: xstate.matrix_concurrence(quarter(((0, 1), HUGE)), 1e-10) is not None, False),
+    (lambda: xstate.matrix_concurrence(quarter(((0, 1), HUGE)), math.inf) is not None, True),
     (lambda: xstate.matrix_concurrence(quarter(((0, 1), HUGE)), 1e-10), None),
     # the trace test of matrix_concurrence, and a tol that passes it
     (lambda: xstate.matrix_concurrence(quarter(((0, 0), HUGE)), 0.5), None),
@@ -411,13 +411,16 @@ def within_corollary1_bound(lhs: float, n: int) -> bool:
     return lhs <= 0 or Fraction(lhs) ** 2 * (n - 1) ** n <= n ** (3 * n - 1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(3, 17))
 def test_corollary1_bound_is_the_float_at_or_just_below_it(n):
-    # So the float `lhs <= rhs` is the exact comparison for every float lhs.
-    eye = np.eye(n * n, dtype=complex)
-    rhs = criteria.corollary1_check(eye, eye, (n, n)).rhs
+    # So the float `lhs <= rhs` is the exact comparison for every float lhs. The
+    # rounded quotient lies one ulp above the bound at six of these orders.
+    eye = np.eye(3 * n, dtype=complex)
+    rhs = criteria.corollary1_check(eye, eye, (3, n)).rhs
     assert within_corollary1_bound(rhs, n)
     assert not within_corollary1_bound(math.nextafter(rhs, math.inf), n)
+    rounded = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
+    assert rhs == (math.nextafter(rounded, 0.0) if n in (6, 7, 8, 10, 11, 14) else rounded)
 
 
 @pytest.mark.parametrize("m", [3, 4])

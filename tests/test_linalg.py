@@ -91,7 +91,8 @@ class TestMul:
         assert prod[1, 2] == params.t2 * params.v2
         assert prod[2, 1] == params.t3 * np.conj(params.v2)
         assert prod[3, 0] == params.t4 * np.conj(params.v1)
-        assert xstate.is_x_shaped(prod, 0.0)
+        on_x = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+        assert not prod[~on_x].any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -856,19 +857,17 @@ class TestMinEigenvalue:
 
 
 class TestIsPsd:
+    """A Hermitian matrix is PSD within tol iff min_eigenvalue(a, tol) >= -tol."""
+
     def test_amplitude_above_one_is_not_psd(self):
         m = np.eye(4, dtype=complex)
         m[0, 3] = 1.2
         m[3, 0] = 1.2
-        assert not linalg.is_psd(m)
+        assert not linalg.min_eigenvalue(m) >= -linalg.DEFAULT_TOL
 
     def test_nonnegative_diagonal(self):
-        assert linalg.is_psd(np.diag(np.array([0.0, 0.1, 2.0, 3.0], dtype=complex)))
-
-    def test_non_hermitian_is_false(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1.0
-        assert not linalg.is_psd(m)
+        d = np.diag(np.array([0.0, 0.1, 2.0, 3.0], dtype=complex))
+        assert linalg.min_eigenvalue(d) >= -linalg.DEFAULT_TOL
 
     def test_counterexample_is_psd(self):
         # both block discriminants vanish exactly in rationals
@@ -877,7 +876,7 @@ class TestIsPsd:
         # |c1|^2 = (1 + 22) / (4 * 117), |f1|^2 = (1 + 22) / (36 * 13)
         assert Fraction(23, 4 * 117) == Fraction(23, 468)
         assert Fraction(23, 36 * 13) == Fraction(23, 468)
-        assert linalg.is_psd(criteria.counterexample_state())
+        assert linalg.min_eigenvalue(criteria.counterexample_state()) >= -linalg.DEFAULT_TOL
 
 
 @st.composite

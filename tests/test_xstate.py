@@ -22,6 +22,17 @@ def random_symmetric_params(rng, normalized=False):
     return XParams.symmetric(t1, t2, random_unit_disc(rng), random_unit_disc(rng))
 
 
+def closed_form_concurrence(params):
+    """`forms.x_concurrence` of the entries of `product_state(params)`; no normalization needed."""
+    t1, t2 = params.t1, params.t2
+    return forms.x_concurrence(t1, t2, t2, t1, t1 * abs(params.v1), t2 * abs(params.v2))
+
+
+def psd(a):
+    """PSD within the default tol, for a Hermitian a."""
+    return linalg.min_eigenvalue(a) >= -forms.DEFAULT_TOL
+
+
 class TestXParams:
     def test_rejects_negative_weight(self):
         with pytest.raises(InvalidParams, match="t3"):
@@ -82,13 +93,13 @@ class TestBuildFactors:
         pair = xstate.build_factors(XParams(1, 1, 1, 1, 1.0, 0.3))
         w = linalg.hermitian_eigenvalues(pair.p2)
         assert abs(w[-1]) < 1e-13
-        assert linalg.is_psd(pair.p2)
+        assert psd(pair.p2)
 
     def test_both_factors_psd(self, rng):
         for _ in range(50):
             pair = xstate.build_factors(random_symmetric_params(rng))
-            assert linalg.is_psd(pair.p1)
-            assert linalg.is_psd(pair.p2)
+            assert psd(pair.p1)
+            assert psd(pair.p2)
 
 
 class TestProductState:
@@ -129,7 +140,7 @@ class TestProductState:
             pair = xstate.build_factors(params)
             prod = linalg.mul(pair.p1, pair.p2)
             assert np.max(np.abs(xstate.product_state(params).matrix() - prod)) < 1e-15
-            assert linalg.is_psd(prod)
+            assert psd(prod)
 
 
 class TestXMatrix:
@@ -158,13 +169,16 @@ class TestXMatrix:
 
 
 class TestIsXShaped:
+    """Whether an array is X shaped: `_off_x_within` of a square row list, the
+    predicate that `matrix_concurrence` asks of a 4x4 array."""
+
     TOL = 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_cell_by_cell(self, n):
         # An odd n has its centre on both diagonals. Entries on the X may be
-        # anything; off it, at most tol in modulus and not NaN. A real array
-        # reads as its complex cast.
+        # anything; off it, at most tol in modulus and not NaN. A real row
+        # list reads as its complex cast.
         above = np.nextafter(self.TOL, np.inf)
         for dtype, x_value, values in (
             (complex, 3.0 - 2.0j, ((self.TOL, True), (-1j * self.TOL, True), (above, False),
@@ -175,18 +189,19 @@ class TestIsXShaped:
             base = np.zeros((n, n), dtype=dtype)
             for i in range(n):
                 base[i, i] = base[i, n - 1 - i] = x_value
-            assert xstate.is_x_shaped(base, self.TOL)
+            assert xstate._off_x_within(base.tolist(), self.TOL)
             for i in range(n):
                 for j in range(n):
                     on_x = j == i or i + j == n - 1
                     for value, off_x_ok in values:
                         a = base.copy()
                         a[i, j] = value
-                        assert xstate.is_x_shaped(a, self.TOL) is (on_x or off_x_ok), (i, j, value)
+                        got = xstate._off_x_within(a.tolist(), self.TOL)
+                        assert got is (on_x or off_x_ok), (i, j, value)
 
     @pytest.mark.parametrize("a", [np.zeros((4, 3)), np.zeros(4)], ids=["non-square", "1-D"])
     def test_not_square_is_not_x_shaped(self, a):
-        assert xstate.is_x_shaped(a, self.TOL) is False
+        assert xstate.matrix_concurrence(a, self.TOL) is None
 
 
 class TestXEigenvalues:
@@ -321,7 +336,7 @@ class TestConcurrence:
             )
             assert abs(got - expected) < 1e-12
             assert 0.0 <= got <= 1.0
-            assert abs(got - xstate.family_concurrence(params)) < 1e-12
+            assert abs(got - closed_form_concurrence(params)) < 1e-12
 
     def test_equal_weights_vanish(self, rng):
         for _ in range(50):
@@ -334,8 +349,7 @@ class TestConcurrence:
         for t1, t2 in 10.0 ** rng.uniform(-300, 300, size=(10_000, 2)):
             params = XParams.symmetric(t1, t2, random_unit_disc(rng), random_unit_disc(rng))
             t1, t2, a1, a2 = params.t1, params.t2, abs(params.v1), abs(params.v2)
-            got = xstate.family_concurrence(params)
-            assert got == xstate.x_concurrence(t1, t2, t2, t1, t1 * a1, t2 * a2)
+            got = forms.x_concurrence(t1, t2, t2, t1, t1 * a1, t2 * a2)
             assert got == 2.0 * max(0.0, t2 * a2 - t1, t1 * a1 - t2)
 
 
@@ -463,30 +477,30 @@ class TestZeroConcurrenceRegion:
     def test_equal_weights_entire_square(self, rng):
         for _ in range(50):
             params = XParams.symmetric(0.3, 0.3, random_unit_disc(rng), random_unit_disc(rng))
-            assert xstate.zero_concurrence_region(params)
+            assert closed_form_concurrence(params) == 0.0
 
     def test_inside_region(self):
         # |v1| = 0.5 <= 0.2/0.3 is false... the bounds are t2/t1 = 0.667 and t1/t2 = 1.5
-        assert xstate.zero_concurrence_region(XParams.symmetric(0.3, 0.2, 0.5, 0.9))
+        assert closed_form_concurrence(XParams.symmetric(0.3, 0.2, 0.5, 0.9)) == 0.0
         # On the boundary, t2 |v2| == t1 and t1 |v1| == t2 exactly.
-        assert xstate.zero_concurrence_region(XParams.symmetric(0.25, 0.5, 0.5, 0.5))
+        assert closed_form_concurrence(XParams.symmetric(0.25, 0.5, 0.5, 0.5)) == 0.0
 
     def test_outside_region(self):
         params = XParams.symmetric(0.1, 0.4, 0j, 0.5)
-        assert not xstate.zero_concurrence_region(params)
-        assert abs(xstate.family_concurrence(params) - 0.2) < 1e-15
+        assert closed_form_concurrence(params) > 0.0
+        assert abs(closed_form_concurrence(params) - 0.2) < 1e-15
         # One ulp past the boundary.
-        assert not xstate.zero_concurrence_region(XParams.symmetric(0.25, 0.5, 0.5, 0.5000000000000001))
+        assert closed_form_concurrence(XParams.symmetric(0.25, 0.5, 0.5, 0.5000000000000001)) > 0.0
 
     def test_degenerate_weight(self):
         # t2 = 0: region collapses to v1 = 0
-        assert xstate.zero_concurrence_region(XParams.symmetric(0.5, 0.0, 0j, 0.7))
-        assert not xstate.zero_concurrence_region(XParams.symmetric(0.5, 0.0, 0.1, 0j))
+        assert closed_form_concurrence(XParams.symmetric(0.5, 0.0, 0j, 0.7)) == 0.0
+        assert closed_form_concurrence(XParams.symmetric(0.5, 0.0, 0.1, 0j)) > 0.0
 
     def test_matches_concurrence(self, rng):
         for _ in range(2000):
             params = random_symmetric_params(rng, normalized=True)
-            in_region = xstate.zero_concurrence_region(params)
+            in_region = closed_form_concurrence(params) == 0.0
             conc = xstate.concurrence(xstate.product_state(params))
             assert in_region == (conc <= 1e-12)
 
