@@ -369,7 +369,3 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

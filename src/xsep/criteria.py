@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import bipartite, linalg, xstate
 from .bipartite import BipartiteDims, partial_transpose
 from .errors import EqualityHypothesisError, InvalidParams, NotDensityMatrix, NotHermitian
-from .forms import DEFAULT_TOL, THEOREM2_RHS, _modulus, theorem2_lhs
+from .forms import DEFAULT_TOL, THEOREM2_RHS, _modulus, _times_pow2, theorem2_lhs
 
 # Entries of the reference separable X state whose partial transpose is
 # NOT the stated product of partially transposed factors. Both 2x2 block
@@ -143,17 +144,15 @@ def theorem2_check(p1: np.ndarray, p2: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 @functools.cache
 def _corollary1_rhs(n: int) -> float:
-    """The largest float not above n^((3n-1)/2) / (n-1)^(n/2).
+    """The largest float not above n^((3n-1)/2) / (n-1)^(n/2), or the float maximum past it.
 
-    The rounded quotient lies one ulp above the bound at some n (6, 7, 8, 10,
-    11 and 14 up to 16), and is then stepped down: rhs > bound exactly when
-    rhs^2 (n-1)^n > n^(3n-1), compared in integers.
+    r = isqrt(4^53 n^(3n-1) // (n-1)^n) is the floor of 2^53 times the bound,
+    of at least 53 bits as the bound exceeds 1; cut to its leading 53 bits
+    and scaled back by 2^-53, r is the bound rounded toward zero.
     """
-    rhs = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
-    p, q = rhs.as_integer_ratio()
-    if p * p * (n - 1) ** n > n ** (3 * n - 1) * q * q:
-        rhs = math.nextafter(rhs, 0.0)
-    return rhs
+    r = math.isqrt((n ** (3 * n - 1) << 106) // (n - 1) ** n)
+    s = r.bit_length() - 53
+    return min(_times_pow2(r >> s, s - 53), sys.float_info.max)
 
 
 def corollary1_check(p1: np.ndarray, p2: np.ndarray, dims) -> InequalityCheck:

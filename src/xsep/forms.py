@@ -55,6 +55,22 @@ def _times_pow2(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """(p, e) with p = fl(x*y) and p + e = x*y exactly, barring overflow and underflow.
+
+    Dekker's product (1971), from the halves xh + xl = x that _SPLIT cuts.
+    Rounding is symmetric, so _two_product(-x, y) is exactly -_two_product(x, y).
+    """
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     """Eigenvalues of [[a, c], [conj(c), b]], descending, each within a few ulps.
 
@@ -74,27 +90,7 @@ def hermitian_2x2(a: float, b: float, c: complex) -> tuple[float, float]:
     cr, ci = math.ldexp(c.real, -e), math.ldexp(c.imag, -e)
     mean = 0.5 * (a + b)
     big = mean + math.copysign(math.hypot(0.5 * (a - b), cr, ci), mean)
-    # Dekker's exact products (1971): x*y = p + (its rounding error), from
-    # the halves xh + xl = x that _SPLIT cuts. a*b, cr^2 and ci^2 in turn.
-    p = a * b
-    t = _SPLIT * a
-    xh = t - (t - a)
-    xl = a - xh
-    t = _SPLIT * b
-    yh = t - (t - b)
-    yl = b - yh
-    q = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    r = cr * cr
-    t = _SPLIT * cr
-    xh = t - (t - cr)
-    xl = cr - xh
-    s = ((xh * xh - r) + xh * xl + xl * xh) + xl * xl
-    u = ci * ci
-    t = _SPLIT * ci
-    xh = t - (t - ci)
-    xl = ci - xh
-    v = ((xh * xh - u) + xh * xl + xl * xh) + xl * xl
-    det = math.fsum((p, q, -r, -s, -u, -v))
+    det = math.fsum((*_two_product(a, b), *_two_product(-cr, cr), *_two_product(-ci, ci)))
     big, other = _times_pow2(big, e), _times_pow2(det / big, e)
     return (big, other) if big >= other else (other, big)
 

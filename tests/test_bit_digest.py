@@ -14,13 +14,16 @@ gaps, and dense Hermitian (random, graded, clustered) and non-Hermitian
 matrices at n = 3/4/9/16, each also scaled by 2**900 and 2**-900. No dense block has couplings that are
 all subnormal once scaled: `math.hypot`, which the eigensolver calls, has
 changed bits on subnormal arguments between Python versions. A second draw
-of family pairs, P1 diagonal, feeds `transposed_gap`.
+of family pairs, P1 diagonal, feeds `transposed_gap` and `theorem2_check`.
 
 The kernels are the spectrum, `det`, the Frobenius norm and the Tarazaga
 test of each matrix; the gap of each family pair; the partial transpose, as
 an array and as rows, and `validate_density` (report bits or error text) of
-each matrix with a split; `matrix_concurrence` of each 4x4 matrix; and
-`format_float` of the first row's parts of each matrix.
+each matrix with a split; `matrix_concurrence` of each 4x4 matrix; the sides
+and verdict (or error text) of `theorem2_check` on each family pair, at the
+default and an infinite tol, and of `corollary1_check` on each two
+consecutive dense matrices of order 9 or 16; and `format_float` of the first
+row's parts of each matrix.
 
 Run as a script, the module sets the kernels of this checkout's `src`
 against those of another checkout, case by case, or re-pins the digests:
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -221,6 +225,23 @@ def kernels() -> dict:
                 texts.append(f"{type(e).__name__}: {e}")
         return " | ".join(texts)
 
+    def inequality(check, *args):
+        try:
+            r = check(*args)
+            return f"{r.lhs.hex()} {r.rhs.hex()} {r.satisfied}"
+        except XsepError as e:
+            return f"{type(e).__name__}: {e}"
+
+    def theorem2(pair):
+        # At an infinite tol the equality hypothesis holds, so each pair shows its sides' bits.
+        return " | ".join(inequality(criteria.theorem2_check, *pair, tol)
+                          for tol in (forms.DEFAULT_TOL, math.inf))
+
+    # Consecutive dense matrices of one order, as factor pairs of Corollary 1.
+    dense = [(f"{a[0]} & {b[0]}", (a[1], b[1], (m, m)))
+             for m in (3, 4) for a, b in itertools.pairwise(
+                 [(label, rows) for label, rows in every if len(rows) == m * m])]
+
     def concurrence(rows):
         values = (xstate.matrix_concurrence(rows, tol) for tol in (forms.DEFAULT_TOL, math.inf))
         return " ".join("None" if c is None else c.hex() for c in values)
@@ -236,6 +257,9 @@ def kernels() -> dict:
             bipartite.partial_transpose(*case).tolist())),
         "bipartite._transposed_rows": (split, lambda case: _hex(bipartite._transposed_rows(*case))),
         "criteria.validate_density": (split, density),
+        "criteria.theorem2_check": (pairs(), theorem2),
+        "criteria.corollary1_check": (dense,
+                                      lambda case: inequality(criteria.corollary1_check, *case)),
         "xstate.matrix_concurrence": ([(label, rows) for label, rows in every if len(rows) == 4],
                                       concurrence),
         "forms.format_float": (floats, lambda xs: " ".join(map(forms.format_float, xs))),

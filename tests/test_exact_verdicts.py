@@ -16,13 +16,14 @@ inside or outside. Scaling by 2**t keeps every entry exact.
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from xsep import criteria, linalg, xstate
+from xsep import criteria, forms, linalg, xstate
 from xsep.bipartite import partial_transpose
 from xsep.cli import build_parser, main
 from xsep.errors import InvalidParams
@@ -421,6 +422,29 @@ def test_corollary1_bound_is_the_float_at_or_just_below_it(n):
     assert not within_corollary1_bound(math.nextafter(rhs, math.inf), n)
     rounded = float(n) ** ((3 * n - 1) / 2.0) / (n - 1.0) ** (n / 2.0)
     assert rhs == (math.nextafter(rounded, 0.0) if n in (6, 7, 8, 10, 11, 14) else rounded)
+
+
+def test_corollary1_bound_is_the_float_at_or_just_below_it_up_to_200():
+    # Called directly: corollary1_check at n = 200 would take a 600x600 LU.
+    # The bound passes the float maximum from n = 144 on.
+    for n in range(3, 201):
+        rhs = criteria._corollary1_rhs(n)
+        assert within_corollary1_bound(rhs, n), n
+        assert rhs == sys.float_info.max or not within_corollary1_bound(
+            math.nextafter(rhs, math.inf), n), n
+
+
+def test_two_product_is_exact_and_odd():
+    # hermitian_2x2 forms -cr^2 as _two_product(-cr, cr), which must be the
+    # exact negation of _two_product(cr, cr) for the determinant to keep its bits.
+    rng = random.Random(37)
+    for _ in range(2000):
+        x, y = (rng.choice([-1.0, 1.0]) * math.ldexp(rng.random(), rng.randint(-400, 400))
+                for _ in range(2))
+        p, e = forms._two_product(x, y)
+        assert p == x * y and Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y), (x, y)
+        p, e = forms._two_product(x, x)
+        assert forms._two_product(-x, x) == (-p, -e), x
 
 
 @pytest.mark.parametrize("m", [3, 4])
