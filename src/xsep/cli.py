@@ -137,7 +137,9 @@ def cmd_construct(args) -> int:
 
     params = forms.XParams.symmetric(args.t1, args.t2, args.v1, args.v2)
     pair = xstate.build_factors(params)
-    rho = linalg.mul(pair.p1, pair.p2)
+    rho = linalg.transposed_gap(pair.p1, pair.p2, criteria.TWO_QUBITS)[1]  # no RuntimeWarning
+    if where := linalg.nonfinite_entries(rho):
+        raise InvalidParams(f"the product P1 P2 overflows: non-finite entries at {where}")
     # The product is Hermitian and PSD, so only its trace, 2 (t1 + t2), can fail.
     try:
         criteria.validate_density(rho, criteria.TWO_QUBITS)
@@ -204,7 +206,8 @@ def _sweep_rows(t1: float, grid: int, literal: bool, phase1: float, phase2: floa
               for c, s in ((math.cos(ph), math.sin(ph)) for ph in (phase1, phase2))]
     # Every cell has diagonal 1/4, so its concurrence is the larger, and its
     # minimum partial-transpose eigenvalue (partial transposition swaps the
-    # corners) the smaller, of one term per corner modulus.
+    # corners) the smaller, of one term per corner modulus; a concurrence term
+    # is 0.0 unless a libm's sin and cos round a modulus above 1/4.
     terms = {}
     for m in {*moduli[0], *moduli[1]}:
         terms[m] = (forms.x_concurrence(0.25, 0.25, 0.25, 0.25, m, 0.0),
@@ -359,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
-        return int(e.code) if e.code is not None else 0
+        return e.code
     try:
         # Only analyze, check-equality and counterexample take --tol.
         tol = getattr(args, "tol", 0.0)

@@ -160,7 +160,7 @@ def _sqrt_product(a: float, b: float) -> float:
     """sqrt(max(a*b, 0)), also where a*b underflows or overflows.
 
     Past the normal floats the factors are scaled by 4**-i and 4**-j and the
-    root back by 2**(i + j); both are exact, so an in-range root keeps its bits.
+    root back by 2**(i + j); both are exact, so the in-range test is a fast path.
     """
     p = a * b
     if sys.float_info.min <= p <= sys.float_info.max:
@@ -186,14 +186,13 @@ def format_float(x: float) -> str:
 
     Fixed point with 12 decimals for 1e-4 <= |x| < 1e16, scientific
     notation with a lowercase exponent outside it; zero of either sign is
-    `0.000000000000` and a non-finite x its repr. The fixed-point range is
-    tested first, by chained comparisons on x itself with no abs() call,
-    so an everyday value, most of what a sweep renders, leaves at once.
+    `0.000000000000`; the scientific format writes inf, -inf and a NaN of
+    either sign as their repr. The fixed-point range is tested first, by
+    chained comparisons on x itself with no abs() call, so an everyday value,
+    most of what a sweep renders, leaves at once.
     """
     if 1e-4 <= x < 1e16 or -1e16 < x <= -1e-4:
         return f"{x:.12f}"
     if x == 0.0:
         return "0.000000000000"
-    if not math.isfinite(x):
-        return repr(x)
     return f"{x:.12e}"

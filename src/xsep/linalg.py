@@ -85,7 +85,7 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
 def nonfinite_entries(a: np.ndarray) -> str:
     """The positions `(i,j)` of NaN or infinite entries, comma-separated; "" if none."""
     finite = np.isfinite(a)
-    if finite.all():
+    if finite.all():  # a fast path: the join below is "" too
         return ""
     return ", ".join(f"({i},{j})" for i, j in np.argwhere(~finite).tolist())
 
@@ -132,7 +132,7 @@ def _split(row_masks: tuple[int, ...]) -> list[list[int]]:
         for mask in masks:
             if mask & bit:
                 components.setdefault(mask, []).append(j)
-                break
+                break  # a fast path: the masks are disjoint
     return list(components.values())
 
 
@@ -182,8 +182,9 @@ def _unit_trace(diagonal: list, tol: float) -> tuple[complex, bool]:
 def _exponent(entries: list[complex]) -> int:
     """The exponent e of the entries' largest `_modulus` M, M = m * 2**e with m in [0.5, 1).
 
-    The one scaling rule of this module: 1024 when M is past the float
-    maximum, and 0 when M is 0 or there are no entries.
+    The one scaling rule of this module: 1024 when M is past the float maximum
+    or NaN, which scales finite entries beside an inf or NaN down too, as the
+    fsum of their squares in `_scaled_norm` needs; 0 when M is 0 or absent.
     """
     try:
         big = max(map(abs, entries), default=0.0)
@@ -247,10 +248,7 @@ def _scaled_block(rows: list[list[complex]], idx: list[int]) -> tuple[list[list[
     back has the unscaled run's bits, up to the sign of a zero part.
     """
     m = len(idx)
-    if m == len(rows):  # the whole matrix: idx is every index, in order
-        entries = list(chain.from_iterable(rows))
-    else:
-        entries = [row[j] for row in map(rows.__getitem__, idx) for j in idx]
+    entries = [row[j] for row in map(rows.__getitem__, idx) for j in idx]
     e = _exponent(entries)
     entries = list(_scaled(entries, e))
     return [entries[i:i + m] for i in range(0, m * m, m)], e
@@ -313,9 +311,9 @@ def _product(factors: list[complex], e: int) -> complex:
     [2**-500, 2**500] (its `_modulus`, inf or NaN included) is formed again
     on the factor scaled to [0.5, 1), and z too is scaled there, by exact
     powers of two: no partial product overflows or underflows, and in range z
-    has the plain product's bits. 2**k comes last, by `_times_pow2` on each
-    part, so a part past the float range is inf of its sign on its own; a
-    real matrix's imaginary part is made +0.0.
+    has the plain product's bits, so the band test is a fast path. 2**k comes
+    last, by `_times_pow2` on each part, so a part past the float range is inf
+    of its sign on its own; a real matrix's imaginary part is made +0.0.
     """
     z, k = 1 + 0j, e
     for f in factors:
@@ -473,7 +471,6 @@ def _implicit_ql(d: list[float], e: list[float]) -> list[float]:
                 break
             if m == l + 1:
                 d[l], d[m] = hermitian_2x2(d[l], d[m], complex(e[l]))
-                e[l] = 0.0
                 break
             if sweep == _MAX_QL_SWEEPS:
                 raise ArithmeticError("QL eigensolver did not converge")
@@ -536,8 +533,8 @@ def _spectrum(h: list[list[complex]]) -> list[float]:
 def _descending(w: list[float]) -> list[float]:
     """w sorted descending in place, +0.0 before -0.0: one order on every host.
 
-    Equal floats have equal bits, except 0.0 and -0.0, which compare equal:
-    a list holding both is sorted on (x, sign of x), any other on x alone.
+    Equal floats have equal bits, except 0.0 and -0.0, which compare equal: a
+    list holding both is sorted on (x, sign of x), any other on x, a fast path.
     """
     if 0.0 in w and len({math.copysign(1.0, x) for x in w if x == 0.0}) == 2:
         w.sort(key=lambda x: (x, math.copysign(1.0, x)), reverse=True)

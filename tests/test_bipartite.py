@@ -200,6 +200,12 @@ class TestCachedPermutation:
                 if isinstance(x, np.ndarray):
                     assert not np.shares_memory(got, x), name
 
+    def test_cached_permutation_is_read_only(self):
+        # It is shared by every later call with the same split.
+        perm = bipartite._permutation(2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0, 0] = 1
+
     def test_result_is_fresh_and_writable(self, rng):
         a = random_complex(rng, 4)
         c = a.astype(complex)

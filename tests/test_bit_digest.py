@@ -15,6 +15,11 @@ matrices at n = 3/4/9/16, each also scaled by 2**900 and 2**-900. No dense block
 all subnormal once scaled: `math.hypot`, which the eigensolver calls, has
 changed bits on subnormal arguments between Python versions. A second draw
 of family pairs, P1 diagonal, feeds `transposed_gap` and `theorem2_check`.
+A third draw adds real sparse connected Hermitian matrices, n = 3..16 at the
+same scales, to the spectrum's cases: their columns with one entry below the
+diagonal take the Householder step's identity reflector. A fourth adds
+matrices whose first column holds an entry of modulus past the float maximum
+to the determinant's cases: LU sends them to its scaled retry.
 
 The kernels are the spectrum, `det`, the Frobenius norm and the Tarazaga
 test of each matrix; the gap of each family pair; the partial transpose, as
@@ -187,6 +192,47 @@ def pairs() -> list[tuple[str, tuple[list, list]]]:
     return [(f"{label} 2**{s}", (_scaled(p1, s), p2)) for s in SCALES for label, (p1, p2) in base]
 
 
+def sparse() -> list[tuple[str, list[list[complex]]]]:
+    """(label, rows) of real sparse Hermitian matrices whose pattern is connected, at each of SCALES.
+
+    A random spanning tree joins the indices; each other pair above the
+    diagonal is an entry with probability 0, 0.1, 0.2 or 0.3.
+    """
+    rng = random.Random(SEED + 2)
+    base = []
+    for n in range(3, 17):
+        for k in range(4):
+            rows = [[complex(rng.uniform(-1.0, 1.0)) if i == j else 0j for j in range(n)]
+                    for i in range(n)]
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = {tuple(sorted((order[t], order[rng.randrange(t)]))) for t in range(1, n)}
+            edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.1 * k}
+            for i, j in sorted(edges):
+                rows[i][j] = rows[j][i] = complex(rng.uniform(-1.0, 1.0))
+            base.append((f"sparse n={n} {k}", rows))
+    return [(f"{label} 2**{s}", _scaled(rows, s)) for s in SCALES for label, rows in base]
+
+
+def overflowing() -> list[tuple[str, list[list[complex]]]]:
+    """(label, rows) of matrices with one or two first-column entries of modulus past the float maximum.
+
+    Each such entry has both parts in [1.3e308, 1.7e308); the other entries
+    have parts in [-0.25, 0.25), so most determinants are in range.
+    """
+    rng = random.Random(SEED + 3)
+    cases = []
+    for n in range(3, 17):
+        for count in (1, 2):
+            rows = [[complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25)) for _ in range(n)]
+                    for _ in range(n)]
+            for i in rng.sample(range(n), count):
+                rows[i][0] = complex(rng.choice((-1.0, 1.0)) * rng.uniform(1.3e308, 1.7e308),
+                                     rng.choice((-1.0, 1.0)) * rng.uniform(1.3e308, 1.7e308))
+            cases.append((f"overflowing n={n} {count}", rows))
+    return cases
+
+
 def _hex(rows) -> str:
     return " ".join(f"{z.real.hex()},{z.imag.hex()}" for row in rows for z in row)
 
@@ -247,9 +293,9 @@ def kernels() -> dict:
         return " ".join("None" if c is None else c.hex() for c in values)
 
     return {
-        "linalg._spectrum": (hermitian,
+        "linalg._spectrum": (hermitian + sparse(),
                              lambda rows: " ".join(map(float.hex, linalg._spectrum(rows)))),
-        "linalg.det": (every, det),
+        "linalg.det": (every + overflowing(), det),
         "linalg.frobenius_norm": (every, lambda rows: linalg.frobenius_norm(rows).hex()),
         "criteria.tarazaga_pd": (hermitian, lambda rows: str(criteria.tarazaga_pd(rows))),
         "linalg.transposed_gap": (pairs(), gap),

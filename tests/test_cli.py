@@ -256,6 +256,29 @@ class TestConstruct:
         rho, _ = matfile.load(str(out))
         assert np.array_equal(rho, p1 @ p2)
 
+    def test_companion_paths_without_a_json_suffix(self, tmp_path):
+        out = tmp_path / "rho"
+        assert main(["construct", "--t1", "0.25", "--t2", "0.25", "--with-factors",
+                     "--out", str(out)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["rho", "rho.p1.json",
+                                                                   "rho.p2.json"]
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_overflowing_product_exits_3_and_writes_nothing(self, tmp_path, capsys, action):
+        # t1 |v1| is past the float maximum: the product's corners are inf + NaN j.
+        # Under -W error as without it: no RuntimeWarning, no unnormalized warning, no file.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(["construct", "--t1", "1.7976931348623157e308", "--t2", "0",
+                         "--v1", "1.0000000000000004", "--with-factors",
+                         "--out", str(tmp_path / "rho.json")]) == 3
+        assert caught == []
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the product P1 P2 overflows: non-finite entries at "
+                                "(0,3), (3,0)\n")
+
     def test_diagonal_when_amplitudes_default(self, tmp_path):
         out = tmp_path / "rho.json"
         assert main(["construct", "--t1", "0.2", "--t2", "0.3", "--out", str(out)]) == 0

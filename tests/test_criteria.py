@@ -276,6 +276,13 @@ class TestRealDet:
                 assert criteria._real_det(None, "p") == d.real
         assert 500 < flagged < 1500  # both verdicts are reached
 
+    @pytest.mark.parametrize("d", [complex(1.0, math.inf), complex(math.inf, 1.0)])
+    def test_a_part_past_the_float_range_overflows(self, monkeypatch, d):
+        # One finite part is not enough: |d| is inf too, so the imaginary-part test cannot flag it.
+        monkeypatch.setattr(linalg, "det", lambda a: d)
+        with pytest.raises(InvalidParams, match=r"^det\(p\) overflows: got "):
+            criteria._real_det(None, "p")
+
 
 class TestCorollary1:
     def test_identity_factors_order9(self):
@@ -329,8 +336,9 @@ class TestCorollary1:
             criteria.corollary1_check(np.eye(9), np.eye(16), (3, 3))
 
     def test_rejects_small_subsystems(self):
-        with pytest.raises(InvalidParams, match=">= 3"):
-            criteria.corollary1_check(np.eye(6, dtype=complex), np.eye(6, dtype=complex), (2, 3))
+        for dims in ((2, 3), (3, 2)):
+            with pytest.raises(InvalidParams, match=">= 3"):
+                criteria.corollary1_check(np.eye(6, dtype=complex), np.eye(6, dtype=complex), dims)
 
 
 class TestPptVerdict:

@@ -385,6 +385,14 @@ class TestFrobenius:
             warnings.simplefilter("error")
             assert linalg.frobenius_norm(np.full((4, 4), 1e308)) == math.inf
 
+    @pytest.mark.parametrize("bad, want", [(complex(math.inf, 0.0), math.inf),
+                                           (complex(0.0, math.nan), math.nan)], ids=["inf", "nan"])
+    def test_a_non_finite_entry_beside_large_finite_ones(self, bad, want):
+        # The finite entries are still scaled down: unscaled, their squares sum
+        # past the float maximum, and math.fsum raises OverflowError on that.
+        got = linalg.frobenius_norm(np.array([[bad, 1.2e154], [1.2e154, 1.2e154]]))
+        assert got == want or (math.isnan(want) and math.isnan(got))
+
     def test_subnormal_entries_keep_their_moduli(self):
         # 16 |20+4j| = 326.3 units of 2**-1074, rounded once; moduli taken on the subnormal
         # grid would each be 20, and 16 * 20 = 320.
@@ -770,6 +778,38 @@ class TestDenseJacobi:
         h = np.diag(np.abs(np.arange(n) - (n - 1) / 2)).astype(complex)
         h += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h))
+
+    def test_complex_tridiagonal(self, rng):
+        # Each column below the diagonal has one entry, complex: its reflector
+        # is not the identity, which only a real column's is. The first matrix
+        # has the spectrum (3.104, 2.270, 0.626).
+        h = np.array([[1, .5 + .5j, 0], [.5 - .5j, 2, .3j], [0, -.3j, 3]])
+        self.assert_close(h, mp_eigenvalues(h), 3 * EPS * np.linalg.norm(h))
+        for n in range(3, 17):
+            h = np.diag(rng.uniform(-1.0, 1.0, n)).astype(complex)
+            off = random_complex(rng, n)[0, :n - 1]
+            h += np.diag(off, 1) + np.diag(off.conj(), -1)
+            self.assert_close(h, mp_eigenvalues(h), n * EPS * np.linalg.norm(h))
+
+    @pytest.mark.parametrize("d, e", [
+        ([(1.5, -100), (-1.5, -700), (-1.5, -800), (1.0, -1000)], [(1.5, 0), (1.5, -699), (1.5, -599)]),
+        ([(1.5, -699), (1.5, -799), (1.0, -1000), (-1.0, -1000)], [(1.5, 0), (1.0, -100), (1.5, -999)]),
+        ([(1.0, -200), (-1.0, -500), (1.5, -800), (1.0, -1000), (1.0, -1000)],
+         [(1.0, -300), (-1.5, -99), (1.5, -800), (1.0, -1000)]),
+    ], ids=["a", "b", "c"])
+    def test_graded_tridiagonal_whose_rotation_underflows(self, d, e):
+        # Entries from 1.5 down to 2**-1000, as (m, k) for m 2**k: in a QL sweep
+        # both terms of a rotation underflow to 0, so r = hypot(f, g) is 0, the
+        # eigenvalue below splits off and the block's last coupling is zeroed.
+        # Each eigenvalue keeps its relative accuracy, against 400 digits.
+        mpmath = pytest.importorskip("mpmath")
+        d, e = ([math.ldexp(m, k) for m, k in xs] for xs in (d, e))
+        h = np.diag(d).astype(complex) + np.diag(e, 1) + np.diag(e, -1)
+        with mpmath.workdps(400):
+            ref = sorted(map(float, mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True)),
+                         reverse=True)
+        got = linalg.hermitian_eigenvalues(h).tolist()
+        assert all(abs(x - r) <= 4 * math.ulp(r) for x, r in zip(got, ref)), (got, ref)
 
     def test_negligible_columns(self):
         # Couplings of 1e-200 move no eigenvalue of diag(1, ..., 5) by an ulp.

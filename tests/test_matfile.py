@@ -163,6 +163,19 @@ def test_rejects_booleans_as_integers():
         matfile.decode('{"dim": 1, "dims": [true, 1], "entries": [[[1, 0]]]}')
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_rejects_a_dim_below_one(dim):
+    with pytest.raises(MatrixFileError, match=f"^dim must be a positive integer, got {dim}$"):
+        matfile.decode(f'{{"dim": {dim}, "entries": []}}')
+
+
+def test_encode_writes_every_part_as_a_float():
+    # An int array, and a nested list, are written as the complex matrix they hold.
+    want = '{\n  "dim": 2,\n  "entries": [\n    [[1.0, 0.0], [0.0, 0.0]],\n    [[0.0, 0.0], [1.0, 0.0]]\n  ]\n}\n'
+    assert matfile.encode(np.eye(2, dtype=int)) == want
+    assert matfile.encode([[1, 0], [0, 1]]) == want
+
+
 def test_rejects_an_integer_past_the_float_range():
     with pytest.raises(MatrixFileError, match="int too large to convert to float"):
         matfile.decode('{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}')

@@ -71,6 +71,13 @@ class TestXParams:
         p = XParams.symmetric(0.3, 0.2, 0.5j, 0.1)
         assert (p.t3, p.t4) == (0.2, 0.3)
         assert p.is_symmetric
+        assert not XParams(0.3, 0.2, 0.2, 0.4, 0j, 0j).is_symmetric
+
+    @pytest.mark.parametrize("v", [1, "0.5j", np.complex128(0.5 + 0.5j)], ids=["int", "str", "numpy"])
+    def test_stores_amplitudes_as_complex(self, v):
+        p = XParams(0.25, 0.25, 0.25, 0.25, v, v)
+        assert type(p.v1) is complex and type(p.v2) is complex
+        assert p.v1 == p.v2 == complex(v)
 
 
 class TestBuildFactors:
@@ -278,6 +285,7 @@ class TestOneClosedForm:
 
     def test_zero_corners_give_the_diagonal(self):
         assert linalg.hermitian_2x2(0.3, 0.2, 0j) == (0.3, 0.2)
+        assert linalg.hermitian_2x2(0.2, 0.3, 0j) == (0.3, 0.2)
         assert linalg.hermitian_2x2(0.0, 0.0, 0j) == (0.0, 0.0)
 
     def test_pair_is_descending_for_a_negative_mean(self):
